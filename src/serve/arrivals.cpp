@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace eprons {
 namespace {
@@ -22,6 +24,13 @@ double FlashCrowdEvent::envelope(SimTime t) const {
 
 ArrivalGenerator::ArrivalGenerator(const ArrivalStreamConfig& config)
     : config_(config), thin_rng_(0) {
+  // A NaN ceiling would thin forever and a negative one silently serves
+  // nothing; zero is a legitimate idle stream.
+  if (!std::isfinite(config_.peak_rate_qps) || config_.peak_rate_qps < 0.0) {
+    throw std::invalid_argument(
+        "peak_rate_qps must be finite and >= 0 (got " +
+        std::to_string(config_.peak_rate_qps) + ")");
+  }
   // Fixed split order — the determinism contract. Each composed process
   // owns a stream, so toggling one process never perturbs the others.
   Rng base(config_.seed);

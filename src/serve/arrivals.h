@@ -63,7 +63,8 @@ struct ArrivalStreamConfig {
   /// Modeled serving horizon, us (next() returns kNoTime past it).
   SimTime horizon = sec(7200.0);
   /// Arrival rate at the diurnal peak (burst/flash factors at 1),
-  /// queries per second.
+  /// queries per second. Must be finite and >= 0 (0 yields no arrivals);
+  /// ArrivalGenerator throws std::invalid_argument otherwise.
   double peak_rate_qps = 40.0;
   /// Diurnal baseline shape; search_trough/search_peak bound the level and
   /// the noiseless minute-level shape is evaluated directly (noise is the

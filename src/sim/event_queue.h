@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "util/types.h"
@@ -52,7 +51,9 @@ class EventQueue {
     }
   };
 
-  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+  // Min-heap on (when, seq) maintained with std::push_heap/pop_heap, so
+  // step() can move the earliest entry out instead of copying its closure.
+  std::vector<Entry> heap_;
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;
 };

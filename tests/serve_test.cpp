@@ -11,6 +11,8 @@
 //   * golden ServingWindowRecord serialization.
 #include <cmath>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -161,6 +163,31 @@ TEST(Arrivals, FlashEnvelopeShape) {
   EXPECT_DOUBLE_EQ(event.envelope(150.0), 0.5);   // mid-decay
   EXPECT_EQ(event.envelope(170.0), 0.0);          // past end
   EXPECT_DOUBLE_EQ(event.end(), 170.0);
+}
+
+// Non-finite or negative peak rates are rejected at construction, naming
+// the field. Before validation a NaN ceiling made next() thin forever and
+// a negative one silently produced an empty stream.
+TEST(Arrivals, RejectsNonFiniteOrNegativePeakRate) {
+  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL, -5.0}) {
+    ArrivalStreamConfig config = short_stream();
+    config.peak_rate_qps = bad;
+    try {
+      ArrivalGenerator gen(config);
+      ADD_FAILURE() << "accepted peak_rate_qps=" << bad;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("peak_rate_qps"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Arrivals, ZeroPeakRateIsAnEmptyStream) {
+  ArrivalStreamConfig config = short_stream();
+  config.peak_rate_qps = 0.0;
+  ArrivalGenerator gen(config);
+  EXPECT_EQ(gen.next(), kNoTime);
 }
 
 TEST(Policies, FactoriesRoundTripAndRejectUnknown) {
@@ -334,6 +361,15 @@ TEST(ServingHarness, OpenLoopRunCompletesThroughReplanning) {
   const double expected = twin.integrated_rate(0.0, config.arrivals.horizon);
   EXPECT_LE(std::abs(static_cast<double>(report.arrivals) - expected),
             6.0 * std::sqrt(expected));
+}
+
+// The serving bench hung on --peak-qps=nan: the harness must fail fast.
+TEST(ServingHarness, RejectsNanPeakRate) {
+  const Scenario scn = serve_scenario();
+  const ServingHarnessConfig config = harness_config(scn, std::nan(""));
+  EXPECT_THROW(ServingHarness(&scn.topology(), &scn.service_model(),
+                              &scn.power_model(), config),
+               std::invalid_argument);
 }
 
 TEST(ServingHarness, WindowConservationExact) {

@@ -66,6 +66,34 @@ TEST(EventQueue, EventsCanScheduleEvents) {
   EXPECT_DOUBLE_EQ(events.now(), 40.0);
 }
 
+// Counts copies of itself; moves are free.
+struct CopyCounter {
+  int* copies;
+  int* calls;
+  CopyCounter(int* copies_in, int* calls_in)
+      : copies(copies_in), calls(calls_in) {}
+  CopyCounter(const CopyCounter& other)
+      : copies(other.copies), calls(other.calls) {
+    ++*copies;
+  }
+  CopyCounter(CopyCounter&&) noexcept = default;
+  void operator()() const { ++*calls; }
+};
+
+TEST(EventQueue, DispatchMovesCallbacksWithoutCopying) {
+  EventQueue events;
+  int copies = 0;
+  int calls = 0;
+  // Enough entries that pushes and pops sift closures through the heap.
+  for (int i = 0; i < 16; ++i) {
+    events.schedule(static_cast<SimTime>((i * 7) % 5),
+                    CopyCounter(&copies, &calls));
+  }
+  events.run_all();
+  EXPECT_EQ(calls, 16);
+  EXPECT_EQ(copies, 0);
+}
+
 ServiceModel sim_model(std::uint64_t seed = 21) {
   Rng rng(seed);
   SyntheticWorkloadConfig config;

@@ -1,14 +1,22 @@
-// Unit + property tests for src/stats: FFT, convolution, discretized
-// distributions (the violation-probability substrate), percentiles.
+// Unit + property tests for src/stats: FFT, convolution (including bit
+// pins of the DES's convolutions and the kernel's per-thread caches),
+// discretized distributions (the violation-probability substrate),
+// percentiles.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <numeric>
+#include <thread>
 
+#include "dvfs/service_model.h"
+#include "dvfs/synthetic_workload.h"
 #include "stats/distribution.h"
 #include "stats/fft.h"
 #include "stats/percentile.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace eprons {
 namespace {
@@ -46,6 +54,17 @@ TEST(Fft, KnownTransformOfImpulse) {
   }
 }
 
+TEST(Fft, InverseKeepsTheTextbookSignedZeros) {
+  // Every stage of the textbook recurrence starts at w = (1, +0). With
+  // (1, -0) the first output's real part would be +0 instead of -0.
+  std::vector<std::complex<double>> data{{-0.0, 0.0}, {-0.0, 1.0}};
+  fft(data, /*inverse=*/true);
+  EXPECT_TRUE(std::signbit(data[0].real()));
+  EXPECT_FALSE(std::signbit(data[1].real()));
+  EXPECT_EQ(data[0].imag(), 0.5);
+  EXPECT_EQ(data[1].imag(), -0.5);
+}
+
 TEST(Convolve, MatchesDirectSmall) {
   const std::vector<double> a{1, 2, 3};
   const std::vector<double> b{4, 5};
@@ -73,6 +92,139 @@ TEST(Convolve, FftPathMatchesDirectLarge) {
 TEST(Convolve, EmptyInputGivesEmpty) {
   EXPECT_TRUE(convolve({}, {1.0}).empty());
   EXPECT_TRUE(convolve({1.0}, {}).empty());
+}
+
+// ---- Convolution bit pins ----
+//
+// convolve() must reproduce its output bit for bit across kernel changes
+// (paper-figure fingerprints depend on it). These pins hash every output
+// bit of the convolutions the DES performs; the expected values were
+// produced by the plain per-call radix-2 implementation.
+
+// FNV-1a 64 over the IEEE bytes of each value, continuing from `h`.
+std::uint64_t bits_fingerprint(const std::vector<double>& values,
+                               std::uint64_t h = 1469598103934665603ULL) {
+  for (double v : values) {
+    std::uint64_t u = 0;
+    std::memcpy(&u, &v, sizeof u);
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (u >> (8 * byte)) & 0xffU;
+      h *= 1099511628211ULL;
+    }
+  }
+  return h;
+}
+
+// The 512-bin synthetic search work PDF the DES service models start from.
+const DiscreteDistribution& synthetic_work() {
+  static const DiscreteDistribution work = [] {
+    Rng rng(7);
+    return make_search_work_distribution(SyntheticWorkloadConfig{}, rng);
+  }();
+  return work;
+}
+
+// An arrival-instant residual: the in-service request has retired its
+// mean work.
+DiscreteDistribution synthetic_residual() {
+  return synthetic_work().conditional_remaining(synthetic_work().mean());
+}
+
+TEST(Convolve, BitsPinnedWorkWithItself) {
+  const std::vector<double>& w = synthetic_work().pmf();
+  ASSERT_EQ(w.size(), 512u);
+  const std::vector<double> out = convolve(w, w);
+  ASSERT_EQ(out.size(), 1023u);
+  EXPECT_EQ(bits_fingerprint(out), 0x29bc1c83703c70f5ULL);
+}
+
+TEST(Convolve, BitsPinnedResidualWithWork) {
+  const std::vector<double> out =
+      convolve(synthetic_residual().pmf(), synthetic_work().pmf());
+  EXPECT_EQ(bits_fingerprint(out), 0xaaa660893eefe00dULL);
+}
+
+TEST(Convolve, BitsPinnedFreshChainTo8192) {
+  const ServiceModel model(synthetic_work());
+  const std::size_t work_bins = synthetic_work().size();
+  std::uint64_t h = bits_fingerprint(model.fresh_convolution(1).pmf());
+  std::size_t depth = 1;
+  std::size_t fft_size = 0;
+  while (fft_size < 8192) {
+    fft_size = next_pow2(model.fresh_convolution(depth).size() + work_bins - 1);
+    h = bits_fingerprint(model.fresh_convolution(++depth).pmf(), h);
+  }
+  EXPECT_EQ(fft_size, 8192u);
+  EXPECT_EQ(depth, 22u);
+  EXPECT_EQ(h, 0x184937e35a7882c6ULL);
+}
+
+// Each operand's result computed on a fresh thread, i.e. from a cold
+// per-thread workspace.
+std::vector<double> convolve_cold(const std::vector<double>& a,
+                                  const std::vector<double>& b) {
+  std::vector<double> out;
+  std::thread([&] { out = convolve(a, b); }).join();
+  return out;
+}
+
+TEST(Convolve, AlternatingOperandsNeverReuseAStaleSpectrum) {
+  const std::vector<double> b1 = synthetic_work().pmf();
+  const std::vector<double> b2(b1.rbegin(), b1.rend());  // same length
+  const std::vector<double> small = synthetic_residual().pmf();
+  const std::vector<double> large = convolve_direct(small, b1);
+  for (const std::vector<double>* a : {&small, &large}) {
+    const std::vector<double> cold1 = convolve_cold(*a, b1);
+    const std::vector<double> cold2 = convolve_cold(*a, b2);
+    ASSERT_NE(bits_fingerprint(cold1), bits_fingerprint(cold2));
+    const std::vector<double> direct2 = convolve_direct(*a, b2);
+    for (std::size_t i = 0; i < cold2.size(); ++i) {
+      ASSERT_NEAR(cold2[i], direct2[i], 1e-12) << i;
+    }
+    for (int round = 0; round < 3; ++round) {
+      EXPECT_EQ(bits_fingerprint(convolve(*a, b1)), bits_fingerprint(cold1))
+          << "round " << round;
+      EXPECT_EQ(bits_fingerprint(convolve(*a, b2)), bits_fingerprint(cold2))
+          << "round " << round;
+    }
+  }
+  // Same vector object, same length, one bit of content changed.
+  std::vector<double> b = b1;
+  EXPECT_EQ(bits_fingerprint(convolve(small, b)),
+            bits_fingerprint(convolve_cold(small, b1)));
+  b[100] = std::nextafter(b[100], 1.0);
+  EXPECT_EQ(bits_fingerprint(convolve(small, b)),
+            bits_fingerprint(convolve_cold(small, b)));
+}
+
+TEST(Convolve, ThreadPoolMatchesSerialBits) {
+  const std::vector<double>& w = synthetic_work().pmf();
+  const std::vector<double> reversed(w.rbegin(), w.rend());
+  // Residuals of growing size against two alternating operands.
+  std::vector<std::vector<double>> inputs;
+  std::vector<double> a = synthetic_residual().pmf();
+  for (int i = 0; i < 12; ++i) {
+    inputs.push_back(a);
+    a = convolve(a, w);
+  }
+  const auto operand = [&](std::size_t i) -> const std::vector<double>& {
+    return i % 2 == 0 ? w : reversed;
+  };
+  std::vector<std::vector<double>> serial(inputs.size());
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    serial[i] = convolve(inputs[i], operand(i));
+  }
+  ThreadPool pool(4);
+  for (int round = 0; round < 2; ++round) {
+    std::vector<std::vector<double>> parallel(inputs.size());
+    parallel_for(&pool, inputs.size(), [&](std::size_t i) {
+      parallel[i] = convolve(inputs[i], operand(i));
+    });
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      EXPECT_EQ(bits_fingerprint(parallel[i]), bits_fingerprint(serial[i]))
+          << "input " << i;
+    }
+  }
 }
 
 // ---- DiscreteDistribution ----
