@@ -297,6 +297,8 @@ ConsolidationResult MilpConsolidator::solve_impl(
       obs::metrics().counter("consolidate.milp_calls");
   static obs::Counter& nodes =
       obs::metrics().counter("consolidate.milp_nodes");
+  static obs::Counter& pivots =
+      obs::metrics().counter("consolidate.milp_pivots");
   static obs::Counter& warm_seeded =
       obs::metrics().counter("consolidate.milp_warm_seeded");
   static obs::Counter& warm_rejected =
@@ -319,6 +321,7 @@ ConsolidationResult MilpConsolidator::solve_impl(
   last_nodes_.store(solver.last_node_count(), std::memory_order_relaxed);
   nodes.add(static_cast<std::uint64_t>(
       std::max<long long>(0, solver.last_node_count())));
+  pivots.add(static_cast<std::uint64_t>(solver.last_pivot_count()));
   if (warm != nullptr) {
     if (solver.last_warm_start_used()) {
       warm_seeded.add();

@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <optional>
 #include <vector>
+
+#include "lp/tableau.h"
 
 namespace eprons::lp {
 
@@ -30,8 +33,8 @@ Solution MilpSolver::solve(const Model& model) const {
 Solution MilpSolver::solve(const Model& model,
                            const std::vector<double>* incumbent_hint) const {
   last_nodes_ = 0;
+  last_pivots_ = 0;
   last_warm_used_ = false;
-  SimplexSolver simplex(options_.simplex);
 
   // Collect integer variables.
   std::vector<int> int_vars;
@@ -39,8 +42,15 @@ Solution MilpSolver::solve(const Model& model,
     if (model.variable(v).is_integer) int_vars.push_back(v);
   }
 
-  Solution root = simplex.solve(model);
+  // One tableau for the whole search: each node changes integer bounds and
+  // re-optimizes from the basis the previous node left.
+  Tableau tableau(model, options_.simplex);
+  Solution root;
+  root.status = tableau.solve_primal();
+  last_pivots_ = tableau.pivots();
   if (root.status != SolveStatus::Optimal) return root;
+  root.x = tableau.solution();
+  root.objective = model.objective_value(root.x);
   if (int_vars.empty()) return root;
 
   const bool minimize = model.sense() == Sense::Minimize;
@@ -65,9 +75,6 @@ Solution MilpSolver::solve(const Model& model,
     last_warm_used_ = true;
   }
 
-  // Work copy of the model whose integer-variable bounds we mutate per node.
-  Model work = model;
-
   struct StackNode {
     std::vector<std::array<double, 2>> bounds;  // per int var: {lo, hi}
     double bound;                               // parent relaxation objective
@@ -83,6 +90,11 @@ Solution MilpSolver::solve(const Model& model,
     start.bound = root.objective;
     stack.push_back(std::move(start));
   }
+  // Integer bounds the tableau currently holds.
+  std::vector<std::array<double, 2>> applied = stack.back().bounds;
+  // Set when a node's LP stopped at the iteration cap: its subtree was
+  // never searched, so neither optimality nor infeasibility is proven.
+  bool unexplored = false;
 
   while (!stack.empty()) {
     if (last_nodes_ >= options_.max_nodes) break;
@@ -99,14 +111,26 @@ Solution MilpSolver::solve(const Model& model,
       continue;
     }
 
-    // Apply bounds and solve the relaxation.
+    // Apply the node's bounds and re-optimize with the dual simplex; stop
+    // as soon as the relaxation cannot beat the incumbent.
     for (std::size_t i = 0; i < int_vars.size(); ++i) {
-      Variable& var = work.variable(int_vars[i]);
-      var.lower = node.bounds[i][0];
-      var.upper = node.bounds[i][1];
+      if (node.bounds[i] == applied[i]) continue;
+      tableau.set_bounds(int_vars[i], node.bounds[i][0], node.bounds[i][1]);
+      applied[i] = node.bounds[i];
     }
-    const Solution relax = simplex.solve(work);
-    if (relax.status != SolveStatus::Optimal) continue;  // pruned infeasible
+    const Reopt reopt = tableau.reoptimize(
+        incumbent.ok() ? std::optional<double>(incumbent.objective)
+                       : std::nullopt);
+    // Children only tighten the bounded root, so Unbounded cannot occur;
+    // were it to, the subtree would count as unsearched, like a capped LP.
+    if (reopt == Reopt::IterationLimit || reopt == Reopt::Unbounded) {
+      unexplored = true;
+      continue;
+    }
+    if (reopt != Reopt::Optimal) continue;  // infeasible or cut off
+    Solution relax;
+    relax.x = tableau.solution();
+    relax.objective = model.objective_value(relax.x);
     if (incumbent.ok() && !better(relax.objective, incumbent.objective)) {
       continue;
     }
@@ -150,7 +174,7 @@ Solution MilpSolver::solve(const Model& model,
     down.bound = relax.objective;
 
     StackNode up;
-    up.bounds = node.bounds;
+    up.bounds = std::move(node.bounds);
     up.bounds[branch_slot][0] = std::max(up.bounds[branch_slot][0], ceil_v);
     up.bound = relax.objective;
 
@@ -169,21 +193,23 @@ Solution MilpSolver::solve(const Model& model,
       if (feasible_down) stack.push_back(std::move(down));
     }
   }
+  last_pivots_ = tableau.pivots();
 
+  const bool exhausted = stack.empty() && !unexplored;
   if (incumbent.ok()) {
     // Proven optimal only if the search exhausted every node.
-    if (stack.empty() && last_nodes_ < options_.max_nodes) {
+    if (exhausted && last_nodes_ < options_.max_nodes) {
       incumbent.status = SolveStatus::Optimal;
     }
     return incumbent;
   }
-  if (stack.empty()) {
-    Solution none;
-    none.status = SolveStatus::Infeasible;
-    return none;
-  }
   Solution none;
-  none.status = SolveStatus::NodeLimit;
+  if (exhausted) {
+    none.status = SolveStatus::Infeasible;
+  } else {
+    none.status = stack.empty() ? SolveStatus::IterationLimit
+                                : SolveStatus::NodeLimit;
+  }
   return none;
 }
 

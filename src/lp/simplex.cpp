@@ -1,310 +1,17 @@
 #include "lp/simplex.h"
 
-#include <algorithm>
-#include <cmath>
-#include <vector>
+#include "lp/tableau.h"
 
 namespace eprons::lp {
-
-namespace {
-
-// Internal standard-form problem:  min c'y  s.t.  A y = b,  y >= 0,  b >= 0.
-// Model variables map onto one column (shifted by a finite lower bound) or
-// two columns (free variables split as y+ - y-). Finite upper bounds become
-// extra <= rows.
-struct StdForm {
-  int num_struct = 0;  // structural columns (before slacks/artificials)
-  std::vector<double> cost;                // per structural column
-  std::vector<std::vector<double>> rows;   // dense coefficients, struct cols
-  std::vector<RowType> row_types;
-  std::vector<double> rhs;
-  // Recovery: for model var v, x_v = shift[v] + y[pos_col[v]] - y[neg_col[v]]
-  // (neg_col == -1 unless the variable was free-split).
-  std::vector<double> shift;
-  std::vector<int> pos_col;
-  std::vector<int> neg_col;
-};
-
-StdForm build_std_form(const Model& model) {
-  StdForm sf;
-  const int nv = model.num_variables();
-  sf.shift.assign(static_cast<std::size_t>(nv), 0.0);
-  sf.pos_col.assign(static_cast<std::size_t>(nv), -1);
-  sf.neg_col.assign(static_cast<std::size_t>(nv), -1);
-
-  const double sense_sign = model.sense() == Sense::Minimize ? 1.0 : -1.0;
-
-  // Columns for variables.
-  for (int v = 0; v < nv; ++v) {
-    const Variable& var = model.variable(v);
-    if (var.lower <= -kInfinity / 2) {
-      // Free (or lower-unbounded) variable: split.
-      sf.pos_col[static_cast<std::size_t>(v)] = sf.num_struct++;
-      sf.neg_col[static_cast<std::size_t>(v)] = sf.num_struct++;
-      sf.cost.push_back(sense_sign * var.objective);
-      sf.cost.push_back(-sense_sign * var.objective);
-    } else {
-      sf.shift[static_cast<std::size_t>(v)] = var.lower;
-      sf.pos_col[static_cast<std::size_t>(v)] = sf.num_struct++;
-      sf.cost.push_back(sense_sign * var.objective);
-    }
-  }
-
-  auto add_row = [&](RowType type, double rhs) {
-    sf.rows.emplace_back(static_cast<std::size_t>(sf.num_struct), 0.0);
-    sf.row_types.push_back(type);
-    sf.rhs.push_back(rhs);
-    return sf.rows.size() - 1;
-  };
-  auto put = [&](std::size_t row, int v, double coeff) {
-    std::vector<double>& r = sf.rows[row];
-    r[static_cast<std::size_t>(sf.pos_col[static_cast<std::size_t>(v)])] +=
-        coeff;
-    const int neg = sf.neg_col[static_cast<std::size_t>(v)];
-    if (neg >= 0) r[static_cast<std::size_t>(neg)] -= coeff;
-  };
-
-  // Model rows, shifted by lower bounds.
-  for (int r = 0; r < model.num_rows(); ++r) {
-    const Row& row = model.row(r);
-    double rhs = row.rhs;
-    for (const RowEntry& e : row.entries) {
-      rhs -= e.coeff * sf.shift[static_cast<std::size_t>(e.var)];
-    }
-    const std::size_t idx = add_row(row.type, rhs);
-    for (const RowEntry& e : row.entries) put(idx, e.var, e.coeff);
-  }
-
-  // Finite upper bounds as rows: y_v <= upper - lower.
-  for (int v = 0; v < nv; ++v) {
-    const Variable& var = model.variable(v);
-    if (var.upper >= kInfinity / 2) continue;
-    const double span = var.upper - sf.shift[static_cast<std::size_t>(v)];
-    const std::size_t idx = add_row(RowType::LessEqual, span);
-    put(idx, v, 1.0);
-  }
-
-  // Normalize: rhs >= 0.
-  for (std::size_t r = 0; r < sf.rows.size(); ++r) {
-    if (sf.rhs[r] >= 0.0) continue;
-    sf.rhs[r] = -sf.rhs[r];
-    for (double& a : sf.rows[r]) a = -a;
-    switch (sf.row_types[r]) {
-      case RowType::LessEqual: sf.row_types[r] = RowType::GreaterEqual; break;
-      case RowType::GreaterEqual: sf.row_types[r] = RowType::LessEqual; break;
-      case RowType::Equal: break;
-    }
-  }
-  return sf;
-}
-
-// Dense tableau simplex working state.
-class Tableau {
- public:
-  Tableau(const StdForm& sf, const SimplexOptions& options)
-      : options_(options), m_(sf.rows.size()) {
-    // Column layout: [structural | slacks/surplus | artificials].
-    num_struct_ = static_cast<std::size_t>(sf.num_struct);
-    std::size_t num_slack = 0;
-    for (RowType t : sf.row_types) {
-      if (t != RowType::Equal) ++num_slack;
-    }
-    // Artificials: for >= and = rows; also for <= rows the slack serves as
-    // the initial basic column (no artificial needed).
-    std::size_t num_art = 0;
-    for (RowType t : sf.row_types) {
-      if (t != RowType::LessEqual) ++num_art;
-    }
-    n_ = num_struct_ + num_slack + num_art;
-    first_art_ = num_struct_ + num_slack;
-
-    a_.assign(m_, std::vector<double>(n_, 0.0));
-    b_ = sf.rhs;
-    basis_.assign(m_, 0);
-
-    std::size_t slack_at = num_struct_;
-    std::size_t art_at = first_art_;
-    for (std::size_t r = 0; r < m_; ++r) {
-      for (std::size_t c = 0; c < num_struct_; ++c) a_[r][c] = sf.rows[r][c];
-      switch (sf.row_types[r]) {
-        case RowType::LessEqual:
-          a_[r][slack_at] = 1.0;
-          basis_[r] = slack_at++;
-          break;
-        case RowType::GreaterEqual:
-          a_[r][slack_at] = -1.0;
-          ++slack_at;
-          a_[r][art_at] = 1.0;
-          basis_[r] = art_at++;
-          break;
-        case RowType::Equal:
-          a_[r][art_at] = 1.0;
-          basis_[r] = art_at++;
-          break;
-      }
-    }
-
-    // Full cost vector for phase 2 (zero cost on slacks/artificials).
-    cost2_.assign(n_, 0.0);
-    for (std::size_t c = 0; c < num_struct_; ++c) cost2_[c] = sf.cost[c];
-  }
-
-  /// Runs phase 1 then phase 2. Returns the solve status.
-  SolveStatus run() {
-    // Phase 1: minimize sum of artificials.
-    if (first_art_ < n_) {
-      std::vector<double> cost1(n_, 0.0);
-      for (std::size_t c = first_art_; c < n_; ++c) cost1[c] = 1.0;
-      const SolveStatus st = optimize(cost1, /*forbid_artificials=*/false);
-      if (st != SolveStatus::Optimal) return st;  // iteration limit only
-      if (objective(cost1) > 1e-7) return SolveStatus::Infeasible;
-      drive_out_artificials();
-    }
-    return optimize(cost2_, /*forbid_artificials=*/true);
-  }
-
-  double objective(const std::vector<double>& cost) const {
-    double z = 0.0;
-    for (std::size_t r = 0; r < m_; ++r) z += cost[basis_[r]] * b_[r];
-    return z;
-  }
-
-  double phase2_objective() const { return objective(cost2_); }
-
-  /// Value of structural column c in the current basic solution.
-  std::vector<double> structural_solution() const {
-    std::vector<double> y(num_struct_, 0.0);
-    for (std::size_t r = 0; r < m_; ++r) {
-      if (basis_[r] < num_struct_) y[basis_[r]] = b_[r];
-    }
-    return y;
-  }
-
- private:
-  // Reduced costs d_j = c_j - c_B' * (B^-1 A_j); tableau columns already
-  // hold B^-1 A_j, so this is a dot product down each column.
-  std::vector<double> reduced_costs(const std::vector<double>& cost) const {
-    std::vector<double> d(cost);
-    for (std::size_t r = 0; r < m_; ++r) {
-      const double cb = cost[basis_[r]];
-      if (cb == 0.0) continue;
-      const std::vector<double>& row = a_[r];
-      for (std::size_t c = 0; c < n_; ++c) d[c] -= cb * row[c];
-    }
-    return d;
-  }
-
-  SolveStatus optimize(const std::vector<double>& cost,
-                       bool forbid_artificials) {
-    int degenerate_streak = 0;
-    for (int iter = 0; iter < options_.max_iterations; ++iter) {
-      const std::vector<double> d = reduced_costs(cost);
-      const bool bland = degenerate_streak > options_.degenerate_pivot_threshold;
-
-      // Entering column.
-      std::size_t enter = n_;
-      double best = -options_.tol;
-      const std::size_t limit = forbid_artificials ? first_art_ : n_;
-      for (std::size_t c = 0; c < limit; ++c) {
-        if (d[c] < best) {
-          enter = c;
-          if (bland) break;  // first eligible index
-          best = d[c];
-        } else if (bland && d[c] < -options_.tol) {
-          enter = c;
-          break;
-        }
-      }
-      if (enter == n_) return SolveStatus::Optimal;
-
-      // Ratio test.
-      std::size_t leave = m_;
-      double best_ratio = 0.0;
-      for (std::size_t r = 0; r < m_; ++r) {
-        const double arc = a_[r][enter];
-        if (arc <= options_.tol) continue;
-        const double ratio = b_[r] / arc;
-        if (leave == m_ || ratio < best_ratio - options_.tol ||
-            (ratio < best_ratio + options_.tol &&
-             basis_[r] < basis_[leave])) {
-          leave = r;
-          best_ratio = ratio;
-        }
-      }
-      if (leave == m_) return SolveStatus::Unbounded;
-
-      degenerate_streak = best_ratio < options_.tol ? degenerate_streak + 1 : 0;
-      pivot(leave, enter);
-    }
-    return SolveStatus::IterationLimit;
-  }
-
-  void pivot(std::size_t row, std::size_t col) {
-    const double piv = a_[row][col];
-    std::vector<double>& prow = a_[row];
-    const double inv = 1.0 / piv;
-    for (double& v : prow) v *= inv;
-    b_[row] *= inv;
-    for (std::size_t r = 0; r < m_; ++r) {
-      if (r == row) continue;
-      const double factor = a_[r][col];
-      if (factor == 0.0) continue;
-      std::vector<double>& target = a_[r];
-      for (std::size_t c = 0; c < n_; ++c) target[c] -= factor * prow[c];
-      target[col] = 0.0;  // pin exact zero against round-off
-      b_[r] -= factor * b_[row];
-      if (b_[r] < 0.0 && b_[r] > -1e-11) b_[r] = 0.0;
-    }
-    basis_[row] = col;
-  }
-
-  // After phase 1, any artificial still basic sits at zero; pivot it out on
-  // a non-artificial column if possible, else the row is redundant and the
-  // artificial can safely stay (it is forbidden from re-entering).
-  void drive_out_artificials() {
-    for (std::size_t r = 0; r < m_; ++r) {
-      if (basis_[r] < first_art_) continue;
-      for (std::size_t c = 0; c < first_art_; ++c) {
-        if (std::abs(a_[r][c]) > 1e-8) {
-          pivot(r, c);
-          break;
-        }
-      }
-    }
-  }
-
-  SimplexOptions options_;
-  std::size_t m_;
-  std::size_t n_ = 0;
-  std::size_t num_struct_ = 0;
-  std::size_t first_art_ = 0;
-  std::vector<std::vector<double>> a_;
-  std::vector<double> b_;
-  std::vector<std::size_t> basis_;
-  std::vector<double> cost2_;
-};
-
-}  // namespace
 
 SimplexSolver::SimplexSolver(SimplexOptions options) : options_(options) {}
 
 Solution SimplexSolver::solve(const Model& model) const {
   Solution sol;
-  const StdForm sf = build_std_form(model);
-  Tableau tab(sf, options_);
-  sol.status = tab.run();
+  Tableau tableau(model, options_);
+  sol.status = tableau.solve_primal();
   if (sol.status != SolveStatus::Optimal) return sol;
-
-  const std::vector<double> y = tab.structural_solution();
-  sol.x.assign(static_cast<std::size_t>(model.num_variables()), 0.0);
-  for (int v = 0; v < model.num_variables(); ++v) {
-    const auto vi = static_cast<std::size_t>(v);
-    double value = sf.shift[vi] + y[static_cast<std::size_t>(sf.pos_col[vi])];
-    if (sf.neg_col[vi] >= 0) {
-      value -= y[static_cast<std::size_t>(sf.neg_col[vi])];
-    }
-    sol.x[vi] = value;
-  }
+  sol.x = tableau.solution();
   sol.objective = model.objective_value(sol.x);
   return sol;
 }

@@ -5,6 +5,7 @@
 #include "consolidate/arc_lp.h"
 #include "consolidate/greedy_consolidator.h"
 #include "consolidate/milp_consolidator.h"
+#include "obs/telemetry.h"
 #include "util/rng.h"
 
 namespace eprons {
@@ -116,6 +117,24 @@ TEST(MilpConsolidator, ZeroDemandFlowStillGetsAPoweredPath) {
   for (NodeId n : result.flow_paths[0]) {
     EXPECT_TRUE(result.switch_on[static_cast<std::size_t>(n)]);
   }
+}
+
+TEST(MilpConsolidator, PivotCounterAddsOncePerSolve) {
+  // The solver's exact pivot count reaches the registry once per solve,
+  // beside the node count; an identical solve adds an identical amount.
+  const FatTree ft(4);
+  const MilpConsolidator milp(&ft);
+  obs::Counter& pivots = obs::metrics().counter("consolidate.milp_pivots");
+  obs::Counter& nodes = obs::metrics().counter("consolidate.milp_nodes");
+  const std::uint64_t pivots_before = pivots.value();
+  const std::uint64_t nodes_before = nodes.value();
+  ASSERT_TRUE(milp.consolidate(fig2_flows(), fig2_config(2.0)).feasible);
+  const std::uint64_t first = pivots.value() - pivots_before;
+  EXPECT_GT(first, 0u);
+  EXPECT_EQ(nodes.value() - nodes_before,
+            static_cast<std::uint64_t>(milp.last_node_count()));
+  ASSERT_TRUE(milp.consolidate(fig2_flows(), fig2_config(2.0)).feasible);
+  EXPECT_EQ(pivots.value() - pivots_before, 2 * first);
 }
 
 TEST(GreedyConsolidator, Fig2MatchesMilpSwitchCountAtK1) {

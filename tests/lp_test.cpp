@@ -2,7 +2,8 @@
 //
 // The simplex underpins the paper's consolidation model (eqs. (2)-(9));
 // these tests pin it against hand-solved LPs, degenerate/unbounded cases,
-// and randomized feasibility property checks.
+// randomized feasibility property checks, warm dual re-optimization
+// against cold solves, and branch-and-bound against brute force.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,6 +12,7 @@
 #include "lp/branch_and_bound.h"
 #include "lp/model.h"
 #include "lp/simplex.h"
+#include "lp/tableau.h"
 #include "util/rng.h"
 
 namespace eprons::lp {
@@ -215,37 +217,42 @@ TEST(Milp, SetCoverSmall) {
   EXPECT_NEAR(s.objective, 5.0, 1e-6);
 }
 
+// Random 8-item 0/1 knapsack (maximize value within capacity) and its
+// brute-force optimum over all 256 subsets.
+Model random_knapsack(Rng& rng, double* best) {
+  Model m(Sense::Maximize);
+  const int n = 8;
+  std::vector<double> value(n), weight(n);
+  std::vector<RowEntry> entries;
+  for (int v = 0; v < n; ++v) {
+    value[static_cast<std::size_t>(v)] = rng.uniform(1.0, 10.0);
+    weight[static_cast<std::size_t>(v)] = rng.uniform(1.0, 5.0);
+    m.add_binary("b", value[static_cast<std::size_t>(v)]);
+    entries.push_back({v, weight[static_cast<std::size_t>(v)]});
+  }
+  const double cap = rng.uniform(5.0, 15.0);
+  m.add_row("w", RowType::LessEqual, cap, std::move(entries));
+  *best = 0.0;
+  for (int mask = 0; mask < (1 << n); ++mask) {
+    double w = 0.0, val = 0.0;
+    for (int v = 0; v < n; ++v) {
+      if (mask & (1 << v)) {
+        w += weight[static_cast<std::size_t>(v)];
+        val += value[static_cast<std::size_t>(v)];
+      }
+    }
+    if (w <= cap + 1e-9) *best = std::max(*best, val);
+  }
+  return m;
+}
+
 TEST(Milp, RandomProblemsMatchBruteForce) {
   Rng rng(23);
   for (int trial = 0; trial < 20; ++trial) {
-    Model m(Sense::Maximize);
-    const int n = 8;
-    std::vector<double> value(n), weight(n);
-    for (int v = 0; v < n; ++v) {
-      value[static_cast<std::size_t>(v)] = rng.uniform(1.0, 10.0);
-      weight[static_cast<std::size_t>(v)] = rng.uniform(1.0, 5.0);
-      m.add_binary("b", value[static_cast<std::size_t>(v)]);
-    }
-    std::vector<RowEntry> entries;
-    for (int v = 0; v < n; ++v) entries.push_back({v, weight[static_cast<std::size_t>(v)]});
-    const double cap = rng.uniform(5.0, 15.0);
-    m.add_row("w", RowType::LessEqual, cap, std::move(entries));
-
+    double best = 0.0;
+    const Model m = random_knapsack(rng, &best);
     const Solution s = MilpSolver().solve(m);
     ASSERT_EQ(s.status, SolveStatus::Optimal) << "trial " << trial;
-
-    // Brute force over all 2^8 subsets.
-    double best = 0.0;
-    for (int mask = 0; mask < (1 << n); ++mask) {
-      double w = 0.0, val = 0.0;
-      for (int v = 0; v < n; ++v) {
-        if (mask & (1 << v)) {
-          w += weight[static_cast<std::size_t>(v)];
-          val += value[static_cast<std::size_t>(v)];
-        }
-      }
-      if (w <= cap + 1e-9) best = std::max(best, val);
-    }
     EXPECT_NEAR(s.objective, best, 1e-6) << "trial " << trial;
   }
 }
@@ -272,6 +279,368 @@ TEST(Milp, NodeLimitReturnsIncumbentStatus) {
   if (s.ok()) {
     EXPECT_TRUE(m.is_feasible(s.x, 1e-6));
   }
+}
+
+TEST(Milp, IterationCapNeverFakesOptimalityOrInfeasibility) {
+  // A node LP stopped by the iteration cap leaves its subtree unsearched:
+  // the result must then be unproven, never a wrong `Optimal` and never
+  // `Infeasible` (every knapsack admits the empty set).
+  Rng rng(23);
+  int unproven = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    double best = 0.0;
+    const Model m = random_knapsack(rng, &best);
+    for (int cap = 1; cap <= 12; ++cap) {
+      MilpOptions opt;
+      opt.simplex.max_iterations = cap;
+      const Solution s = MilpSolver(opt).solve(m);
+      EXPECT_NE(s.status, SolveStatus::Infeasible)
+          << "trial " << trial << " cap " << cap;
+      if (s.status == SolveStatus::Optimal) {
+        EXPECT_NEAR(s.objective, best, 1e-6)
+            << "trial " << trial << " cap " << cap;
+        continue;
+      }
+      ++unproven;
+      EXPECT_TRUE(s.status == SolveStatus::FeasibleIncumbent ||
+                  s.status == SolveStatus::IterationLimit)
+          << "trial " << trial << " cap " << cap << ": "
+          << solve_status_name(s.status);
+      if (s.ok()) {
+        EXPECT_TRUE(m.is_feasible(s.x, 1e-6));
+        EXPECT_LE(s.objective, best + 1e-6);
+      }
+    }
+  }
+  EXPECT_GT(unproven, 0);  // the sweep does reach the cap
+}
+
+TEST(Milp, PivotCountIsRepeatable) {
+  Rng rng(5);
+  double best = 0.0;
+  const Model m = random_knapsack(rng, &best);
+  const MilpSolver solver;
+  ASSERT_EQ(solver.solve(m).status, SolveStatus::Optimal);
+  const long long pivots = solver.last_pivot_count();
+  EXPECT_GT(pivots, 0);
+  ASSERT_EQ(solver.solve(m).status, SolveStatus::Optimal);
+  EXPECT_EQ(solver.last_pivot_count(), pivots);
+}
+
+// Random LP with <=, >= and = rows over small integer data (so vertices are
+// degenerate and ratio tests tie), variables boxed with nonzero lower
+// bounds, bounded on one side only, or free. Each row passes through a
+// random point within the bounds, so the LP is feasible.
+Model random_bounded_lp(Rng& rng) {
+  Model m(rng.bernoulli(0.5) ? Sense::Minimize : Sense::Maximize);
+  const int n = static_cast<int>(rng.uniform_int(4, 8));
+  std::vector<double> point;
+  for (int v = 0; v < n; ++v) {
+    const double cost = static_cast<double>(rng.uniform_int(-2, 2));
+    const double base = static_cast<double>(rng.uniform_int(-3, 3));
+    const double width = static_cast<double>(rng.uniform_int(1, 4));
+    const auto off = static_cast<double>(rng.uniform_int(0, 3));
+    switch (rng.uniform_int(0, 3)) {
+      case 0:  // boxed
+        m.add_variable("box", base, base + width, cost);
+        point.push_back(base + std::min(off, width));
+        break;
+      case 1:  // lower bound only
+        m.add_variable("lo", base, kInfinity, cost);
+        point.push_back(base + off);
+        break;
+      case 2:  // upper bound only
+        m.add_variable("up", -kInfinity, base, cost);
+        point.push_back(base - off);
+        break;
+      default:  // free
+        m.add_variable("free", -kInfinity, kInfinity, cost);
+        point.push_back(base);
+        break;
+    }
+  }
+  auto add_row_through_point = [&](std::vector<RowEntry> entries) {
+    double lhs = 0.0;
+    for (const RowEntry& e : entries) {
+      lhs += e.coeff * point[static_cast<std::size_t>(e.var)];
+    }
+    const double slack = static_cast<double>(rng.uniform_int(0, 1));
+    switch (rng.uniform_int(0, 2)) {
+      case 0: m.add_row("le", RowType::LessEqual, lhs + slack, entries); break;
+      case 1: m.add_row("ge", RowType::GreaterEqual, lhs - slack, entries); break;
+      default: m.add_row("eq", RowType::Equal, lhs, entries); break;
+    }
+  };
+  const int rows = static_cast<int>(rng.uniform_int(2, 6));
+  for (int r = 0; r < rows; ++r) {
+    std::vector<RowEntry> entries;
+    for (int v = 0; v < n; ++v) {
+      const auto coeff = static_cast<double>(rng.uniform_int(-2, 2));
+      if (coeff != 0.0 && rng.bernoulli(0.6)) entries.push_back({v, coeff});
+    }
+    if (!entries.empty()) add_row_through_point(std::move(entries));
+  }
+  // Box most unbounded directions with rows (not bounds), so most LPs have
+  // an optimum while their variables stay free in the bounds.
+  for (int v = 0; v < n; ++v) {
+    if (rng.bernoulli(0.8)) {
+      const double p = point[static_cast<std::size_t>(v)];
+      m.add_row("cap", RowType::LessEqual, p + 3.0, {{v, 1.0}});
+      m.add_row("floor", RowType::GreaterEqual, p - 3.0, {{v, 1.0}});
+    }
+  }
+  return m;
+}
+
+// One warm tableau follows a random walk of bound changes (tighten a side,
+// fix a variable as branching does, or restore the root bounds as a jump
+// to another subtree does). After every change its dual re-optimization
+// must agree with a cold solve of the same bounds: same status, infeasible
+// children included, and the same objective.
+TEST(Tableau, WarmDualMatchesColdSolveAfterEachBoundChange) {
+  Rng rng(41);
+  int compared = 0;
+  int infeasible = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    Model current = random_bounded_lp(rng);
+    const Model root = current;
+    Tableau warm(current, SimplexOptions{});
+    if (warm.solve_primal() != SolveStatus::Optimal) continue;  // unbounded
+    for (int step = 0; step < 40; ++step) {
+      const int v = static_cast<int>(
+          rng.uniform_int(0, current.num_variables() - 1));
+      Variable& var = current.variable(v);
+      if (rng.bernoulli(0.25)) {
+        // Back to the root bounds, as when the search jumps to another
+        // subtree.
+        var.lower = root.variable(v).lower;
+        var.upper = root.variable(v).upper;
+      } else if (rng.bernoulli(0.25) && var.lower > -kInfinity / 2 &&
+                 var.upper < kInfinity / 2) {
+        // Fix, as branching fixes a binary.
+        var.lower = var.upper = rng.bernoulli(0.5) ? var.lower : var.upper;
+      } else {
+        // Tighten one side by 0-3 within the other (a side that had no
+        // bound gets one near the other bound, or near the origin).
+        const bool has_lower = var.lower > -kInfinity / 2;
+        const bool has_upper = var.upper < kInfinity / 2;
+        const auto shift = static_cast<double>(rng.uniform_int(0, 3));
+        const auto origin = static_cast<double>(rng.uniform_int(-3, 3));
+        if (rng.bernoulli(0.5)) {
+          double lower = has_lower ? var.lower
+                                   : (has_upper ? var.upper - 4.0 : origin);
+          lower += shift;
+          var.lower = has_upper ? std::min(lower, var.upper) : lower;
+        } else {
+          double upper = has_upper ? var.upper
+                                   : (has_lower ? var.lower + 4.0 : origin);
+          upper -= shift;
+          var.upper = has_lower ? std::max(upper, var.lower) : upper;
+        }
+      }
+      warm.set_bounds(v, var.lower, var.upper);
+      const Solution cold = SimplexSolver().solve(current);
+      const Reopt reopt = warm.reoptimize();
+      ASSERT_TRUE(cold.status == SolveStatus::Optimal ||
+                  cold.status == SolveStatus::Infeasible)
+          << "trial " << trial << " step " << step;
+      if (cold.status == SolveStatus::Infeasible) {
+        EXPECT_EQ(reopt, Reopt::Infeasible)
+            << "trial " << trial << " step " << step;
+        ++infeasible;
+        continue;
+      }
+      ASSERT_EQ(reopt, Reopt::Optimal) << "trial " << trial << " step " << step;
+      EXPECT_NEAR(warm.objective(), cold.objective, 1e-9)
+          << "trial " << trial << " step " << step;
+      EXPECT_TRUE(current.is_feasible(warm.solution(), 1e-7))
+          << "trial " << trial << " step " << step;
+      ++compared;
+    }
+  }
+  // The battery must exercise both outcomes in earnest.
+  EXPECT_GT(compared, 1000);
+  EXPECT_GT(infeasible, 100);
+}
+
+TEST(Tableau, LongWarmWalkStaysAccurate) {
+  // Thousands of warm re-optimizations on one tableau with real-valued
+  // data: round-off accumulates over the pivots (without the accuracy
+  // check and its cold fallback this walk drifts by 2e-3 from the cold
+  // objective within 2,100 pivots), yet every result still agrees with a
+  // cold solve.
+  Rng rng(43);
+  Model current(Sense::Minimize);
+  const int n = 30;
+  for (int v = 0; v < n; ++v) {
+    current.add_variable("x", 0.0, 1.0, rng.uniform(-3.0, 3.0));
+  }
+  for (int r = 0; r < 20; ++r) {
+    std::vector<RowEntry> entries;
+    for (int v = 0; v < n; ++v) {
+      if (rng.bernoulli(0.5)) entries.push_back({v, rng.uniform(-2.0, 3.0)});
+    }
+    if (!entries.empty()) {
+      current.add_row("r", RowType::LessEqual, rng.uniform(2.0, 6.0),
+                      std::move(entries));
+    }
+  }
+  Tableau warm(current, SimplexOptions{});
+  ASSERT_EQ(warm.solve_primal(), SolveStatus::Optimal);
+  for (int step = 0; step < 4000; ++step) {
+    const int v = static_cast<int>(rng.uniform_int(0, n - 1));
+    Variable& var = current.variable(v);
+    // Free, fixed at 0 or fixed at 1, as a binary moves through a search.
+    const auto kind = rng.uniform_int(0, 2);
+    var.lower = kind == 2 ? 1.0 : 0.0;
+    var.upper = kind == 1 ? 0.0 : 1.0;
+    warm.set_bounds(v, var.lower, var.upper);
+    const Solution cold = SimplexSolver().solve(current);
+    const Reopt reopt = warm.reoptimize();
+    if (cold.status == SolveStatus::Infeasible) {
+      ASSERT_EQ(reopt, Reopt::Infeasible) << "step " << step;
+      continue;
+    }
+    ASSERT_EQ(cold.status, SolveStatus::Optimal) << "step " << step;
+    ASSERT_EQ(reopt, Reopt::Optimal) << "step " << step;
+    ASSERT_NEAR(warm.objective(), cold.objective, 1e-9) << "step " << step;
+  }
+  EXPECT_GT(warm.pivots(), 2000);
+}
+
+TEST(Tableau, LoosenedBoundCanMakeTheLpUnbounded) {
+  // max x  s.t. x - y <= 1, y in [0, 2]: optimum 3 with y at its upper
+  // bound. Dropping that bound leaves x unbounded above, which a cold solve
+  // must report as such, not as an iteration cap.
+  Model m(Sense::Maximize);
+  const int x = m.add_variable("x", 0.0, kInfinity, 1.0);
+  const int y = m.add_variable("y", 0.0, 2.0, 0.0);
+  m.add_row("gap", RowType::LessEqual, 1.0, {{x, 1.0}, {y, -1.0}});
+  Tableau tableau(m, SimplexOptions{});
+  ASSERT_EQ(tableau.solve_primal(), SolveStatus::Optimal);
+  EXPECT_NEAR(tableau.objective(), 3.0, 1e-12);
+  tableau.set_bounds(y, 0.0, 5.0);
+  ASSERT_EQ(tableau.reoptimize(), Reopt::Optimal);
+  EXPECT_NEAR(tableau.objective(), 6.0, 1e-12);
+  tableau.set_bounds(y, 0.0, kInfinity);
+  EXPECT_EQ(tableau.reoptimize(), Reopt::Unbounded);
+  m.variable(y).upper = kInfinity;
+  EXPECT_EQ(SimplexSolver().solve(m).status, SolveStatus::Unbounded);
+}
+
+TEST(Tableau, CutoffStopsOnlyWhenTheOptimumCannotBeatIt) {
+  // min x + y  s.t. x + y >= 2: optimum 2. Tightening x >= 3 moves it to 3.
+  Model m(Sense::Minimize);
+  const int x = m.add_variable("x", 0.0, 10.0, 1.0);
+  const int y = m.add_variable("y", 0.0, 10.0, 1.0);
+  m.add_row("cover", RowType::GreaterEqual, 2.0, {{x, 1.0}, {y, 1.0}});
+  Tableau tableau(m, SimplexOptions{});
+  ASSERT_EQ(tableau.solve_primal(), SolveStatus::Optimal);
+  EXPECT_NEAR(tableau.objective(), 2.0, 1e-12);
+  tableau.set_bounds(x, 3.0, 10.0);
+  EXPECT_EQ(tableau.reoptimize(2.5), Reopt::CutOff);
+  EXPECT_EQ(tableau.reoptimize(3.5), Reopt::Optimal);
+  EXPECT_NEAR(tableau.objective(), 3.0, 1e-12);
+}
+
+// Mixed-integer models with equality rows: integers in {0, 1} or
+// {0, 1, 2}, boxed continuous variables with nonzero lower bounds. The
+// reference enumerates every integer assignment and solves the continuous
+// rest cold.
+TEST(Milp, EqualityAndMixedModelsMatchBruteForce) {
+  Rng rng(37);
+  int feasible_models = 0;
+  int infeasible_models = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    Model m(rng.bernoulli(0.5) ? Sense::Minimize : Sense::Maximize);
+    const int ints = static_cast<int>(rng.uniform_int(2, 5));
+    const int conts = static_cast<int>(rng.uniform_int(0, 3));
+    std::vector<double> point;
+    for (int v = 0; v < ints; ++v) {
+      const auto hi = static_cast<double>(rng.uniform_int(1, 2));
+      m.add_variable("z", 0.0, hi, rng.uniform(-5.0, 5.0), /*is_integer=*/true);
+      point.push_back(static_cast<double>(rng.uniform_int(0, 1)));
+    }
+    for (int v = 0; v < conts; ++v) {
+      const double lo = rng.uniform(-2.0, 1.0);
+      m.add_variable("c", lo, lo + rng.uniform(0.5, 3.0), rng.uniform(-5.0, 5.0));
+      point.push_back(lo);
+    }
+    const int n = ints + conts;
+    auto random_entries = [&] {
+      std::vector<RowEntry> entries;
+      for (int v = 0; v < n; ++v) {
+        const auto coeff = static_cast<double>(rng.uniform_int(-3, 3));
+        if (coeff != 0.0) entries.push_back({v, coeff});
+      }
+      return entries;
+    };
+    auto lhs_at_point = [&](const std::vector<RowEntry>& entries) {
+      double lhs = 0.0;
+      for (const RowEntry& e : entries) {
+        lhs += e.coeff * point[static_cast<std::size_t>(e.var)];
+      }
+      return lhs;
+    };
+    // Equality rows; one in four gets an odd shift that may leave no
+    // integer point.
+    const int equalities = static_cast<int>(rng.uniform_int(1, 2));
+    for (int r = 0; r < equalities; ++r) {
+      auto entries = random_entries();
+      if (entries.empty()) continue;
+      const double shift = rng.bernoulli(0.25) ? 1.0 : 0.0;
+      m.add_row("eq", RowType::Equal, lhs_at_point(entries) + shift, entries);
+    }
+    for (int r = 0; r < 2; ++r) {
+      auto entries = random_entries();
+      if (entries.empty()) continue;
+      const double lhs = lhs_at_point(entries);
+      if (rng.bernoulli(0.5)) {
+        m.add_row("le", RowType::LessEqual, lhs + rng.uniform(0.0, 2.0), entries);
+      } else {
+        m.add_row("ge", RowType::GreaterEqual, lhs - rng.uniform(0.0, 2.0), entries);
+      }
+    }
+
+    // Brute force over the integer box.
+    const bool minimize = m.sense() == Sense::Minimize;
+    bool found = false;
+    double best = 0.0;
+    std::vector<int> assign(static_cast<std::size_t>(ints), 0);
+    for (;;) {
+      Model fixed = m;
+      for (int v = 0; v < ints; ++v) {
+        fixed.variable(v).lower = assign[static_cast<std::size_t>(v)];
+        fixed.variable(v).upper = assign[static_cast<std::size_t>(v)];
+      }
+      const Solution s = SimplexSolver().solve(fixed);
+      if (s.status == SolveStatus::Optimal &&
+          (!found || (minimize ? s.objective < best : s.objective > best))) {
+        found = true;
+        best = s.objective;
+      }
+      int v = 0;
+      while (v < ints && ++assign[static_cast<std::size_t>(v)] >
+                             m.variable(v).upper) {
+        assign[static_cast<std::size_t>(v)] = 0;
+        ++v;
+      }
+      if (v == ints) break;
+    }
+
+    const Solution s = MilpSolver().solve(m);
+    if (!found) {
+      EXPECT_EQ(s.status, SolveStatus::Infeasible) << "trial " << trial;
+      ++infeasible_models;
+      continue;
+    }
+    ++feasible_models;
+    ASSERT_EQ(s.status, SolveStatus::Optimal) << "trial " << trial;
+    EXPECT_NEAR(s.objective, best, 1e-6) << "trial " << trial;
+    EXPECT_TRUE(is_feasible_assignment(m, s.x, 1e-6)) << "trial " << trial;
+  }
+  EXPECT_GT(feasible_models, 30);
+  EXPECT_GT(infeasible_models, 3);
 }
 
 TEST(Model, WritesLpFormat) {
