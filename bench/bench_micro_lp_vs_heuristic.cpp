@@ -8,8 +8,9 @@
 //   * the exact path MILP (small instances only),
 //   * the greedy heuristic.
 // Defaults keep the sweep quick; pass --max-exact=12 to watch the MILP
-// exhaust its 200,000-node budget at just 12 flows (~10 s) without
-// proving its incumbent optimal.
+// exhaust its 200,000-node budget at just 12 flows without proving its
+// incumbent optimal. A milp_switches cell whose solve did not prove
+// optimality reads "N (unproven)".
 #include <chrono>
 
 #include "bench_common.h"
@@ -87,9 +88,13 @@ int main(int argc, char** argv) {
       const auto start = std::chrono::steady_clock::now();
       const ConsolidationResult exact = milp.consolidate(topo, flows, config);
       const double secs = seconds_since(start);
-      row.push_back(exact.feasible
-                        ? Cell{static_cast<long long>(exact.active_switches)}
-                        : Cell{std::string("-")});
+      if (!exact.feasible) {
+        row.push_back(std::string("-"));
+      } else if (milp.last_proven_optimal()) {
+        row.push_back(static_cast<long long>(exact.active_switches));
+      } else {
+        row.push_back(strformat("%d (unproven)", exact.active_switches));
+      }
       row.push_back(secs);
     } else {
       row.push_back(std::string("(skipped)"));

@@ -1,35 +1,33 @@
-// Microbenchmark: the cold joint-optimizer K sweep — reference vs fast
-// paths, serial vs parallel.
+// Microbenchmark: the cold joint-optimizer K sweep, serial vs parallel.
 //
 // The cold sweep is the planner's hot path — every diurnal epoch without a
-// usable previous plan pays one full optimize() (per-K consolidation +
-// Monte-Carlo slack estimation + server power prediction). This bench
-// times optimize() through two implementations of that pipeline:
+// usable previous plan pays one full optimize() (per-K consolidation,
+// placement-deduplicated batch Monte-Carlo slack estimation, server power
+// prediction). This bench times optimize() at 1/2/4 worker threads. Every
+// row must produce a byte-identical plan (the determinism contract: results
+// are a function of seed and shard count, never of worker count), which
+// the bench checks through one 64-bit fingerprint of the plan per row.
 //
-//   * `reference` — the retained straight-line paths: per-sample
-//     Monte-Carlo walks, per-decision equivalent-work convolutions, per-call
-//     path enumeration (PlanRequest use_reference_* all set);
-//   * `fast` — the production paths: chunked antithetic sampling with
-//     vectorized block logs, per-frequency CCDF tables, the memoized
-//     PathCatalog, and placement-deduplicated batch slack estimation.
-//
-// The fast rows run at 1/2/4 worker threads. Every row must produce a
-// byte-identical plan (the determinism contract: results are a function of
-// seed and shard count — never of worker count or of which implementation
-// ran), which the bench checks field-for-field and summarizes as one
-// 64-bit plan fingerprint per row. CI diffs the fingerprints fast vs
-// reference and tracks the serial speedup in BENCH_6.json.
+// It also prints the exact work one serial cold sweep does: the deltas of
+// the planner.k_candidates, slack.estimates and slack.samples counters over
+// one optimize(). They are machine-independent, so CI gates them exactly
+// against bench/trajectories/BENCH_7.json (tools/check_trajectory.py
+// --perf); wall-clock is printed but never gated. A flag the bench does not
+// read is an error (exit 2), so a misspelled or retired flag never runs the
+// default configuration silently.
 //
 //   ./bench_micro_parallel_planner [--reps=5] [--samples=400] [--csv|--json]
-//       [--no-timing] [--threads=N] [--reference-slack] [--reference-dvfs]
-//       [--reference-enumeration] [--reference]
+//       [--no-timing] [--threads=N]
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <string>
+#include <vector>
 
 #include "bench_common.h"
 #include "core/joint_optimizer.h"
+#include "obs/telemetry.h"
 
 using namespace eprons;
 
@@ -50,19 +48,8 @@ double time_optimize(const JointOptimizer& optimizer,
   return best_ms;
 }
 
-bool plans_identical(const JointPlan& a, const JointPlan& b) {
-  return a.feasible == b.feasible && a.k == b.k &&
-         a.placement.switch_on == b.placement.switch_on &&
-         a.placement.flow_paths == b.placement.flow_paths &&
-         a.slack.request_p95 == b.slack.request_p95 &&
-         a.slack.total_p95 == b.slack.total_p95 &&
-         a.effective_server_budget == b.effective_server_budget &&
-         a.network_power == b.network_power &&
-         a.total_power == b.total_power;
-}
-
 // FNV-1a over the plan's decision-relevant state: one line of output CI can
-// diff across implementations, thread counts, and commits.
+// diff across thread counts and commits.
 std::uint64_t fnv1a(std::uint64_t hash, std::uint64_t value) {
   for (int byte = 0; byte < 8; ++byte) {
     hash ^= (value >> (8 * byte)) & 0xffu;
@@ -112,102 +99,89 @@ int main(int argc, char** argv) {
   const TableFormat fmt = table_format_from_cli(cli);
   const int reps = static_cast<int>(cli.get_int("reps", 5));
   const bool no_timing = cli.has_flag("no-timing");
-  const ReferenceFlags forced = reference_flags_from_cli(cli);
-  bench::print_header(
-      "Micro — cold K sweep, reference vs fast, serial vs parallel",
-      "n/a (implementation microbenchmark: byte-identical plans from every "
-      "implementation at any thread count; speedup from the batched fast "
-      "paths and from evaluating the K candidates concurrently)");
-
-  const Scenario scn = bench::make_scenario(cli);
-  Rng bg_rng(42);
-  const FlowSet background =
-      make_background_flows(scn.flow_gen(), 6, 0.2, 0.1, bg_rng);
-  const double utilization = 0.3;
-
   JointOptimizerConfig config;
   config.slack.samples_per_pair =
       static_cast<int>(cli.get_int("samples", 400));
+  const Scenario scn = bench::make_scenario(cli);
+  for (const std::string& name : cli.unused()) {
+    std::fprintf(stderr, "error: unknown flag --%s\n", name.c_str());
+  }
+  if (!cli.unused().empty()) return 2;
 
-  Table table({"mode", "threads", "best_ms", "speedup", "K", "total_W",
-               "fingerprint", "plan_identical"});
+  bench::print_header(
+      "Micro — cold K sweep, serial vs parallel",
+      "n/a (implementation microbenchmark: byte-identical plans at any "
+      "thread count; speedup from evaluating the K candidates and the slack "
+      "shards concurrently)");
+
+  Rng bg_rng(42);
+  const FlowSet background =
+      make_background_flows(scn.flow_gen(), 6, 0.2, 0.1, bg_rng);
+  PlanRequest request;
+  request.background = &background;
+  request.utilization = 0.3;
+
+  Table table({"threads", "best_ms", "speedup", "K", "total_W", "fingerprint",
+               "plan_identical"});
   table.set_precision(2);
 
-  JointPlan reference_plan;
-  double reference_ms = 0.0;
-  double fast_serial_ms = 0.0;
+  double serial_ms = 0.0;
+  std::uint64_t serial_fp = 0;
   bool all_identical = true;
-  std::uint64_t reference_fp = 0;
-  std::uint64_t fast_fp = 0;
+  obs::Counter* const work_counters[] = {
+      &obs::metrics().counter("planner.k_candidates"),
+      &obs::metrics().counter("slack.estimates"),
+      &obs::metrics().counter("slack.samples"),
+  };
+  std::uint64_t sweep_work[3] = {0, 0, 0};
 
-  struct RowSpec {
-    const char* mode;
-    int threads;
-    bool reference;
-  };
-  const RowSpec rows[] = {
-      {"reference", 1, true},
-      {"fast", 1, false},
-      {"fast", 2, false},
-      {"fast", 4, false},
-  };
-  for (const RowSpec& spec : rows) {
+  for (const int threads : {1, 2, 4}) {
     JointOptimizerConfig cfg = config;
-    cfg.runtime.threads = spec.threads;
+    cfg.runtime.threads = threads;
     const JointOptimizer optimizer = scn.optimizer(cfg);
 
-    PlanRequest request;
-    request.background = &background;
-    request.utilization = utilization;
-    if (spec.reference) {
-      request.use_reference_slack = true;
-      request.use_reference_dvfs = true;
-      request.use_reference_enumeration = true;
-    } else {
-      // The fast rows still honor an explicit --reference-* flag, so one
-      // suspect subsystem can be pinned to its reference implementation
-      // while the rest stays fast (determinism bisection).
-      bench::apply_reference_flags(forced, &request);
+    if (threads == 1) {
+      // The counters are logical work, identical for any worker count.
+      for (int c = 0; c < 3; ++c) sweep_work[c] = work_counters[c]->value();
+      optimizer.optimize(request);
+      for (int c = 0; c < 3; ++c) {
+        sweep_work[c] = work_counters[c]->value() - sweep_work[c];
+      }
     }
 
     JointPlan plan;
     const double best_ms = time_optimize(optimizer, request, reps, &plan);
     const std::uint64_t fp = plan_fingerprint(plan);
-    if (spec.reference) {
-      reference_plan = plan;
-      reference_ms = best_ms;
-      reference_fp = fp;
-    } else if (spec.threads == 1) {
-      fast_serial_ms = best_ms;
-      fast_fp = fp;
+    if (threads == 1) {
+      serial_ms = best_ms;
+      serial_fp = fp;
     }
-    const bool identical = plans_identical(plan, reference_plan);
-    all_identical = all_identical && identical && fp == reference_fp;
-    table.add_row({std::string(spec.mode),
-                   static_cast<long long>(spec.threads),
+    const bool identical = fp == serial_fp;
+    all_identical = all_identical && identical;
+    table.add_row({static_cast<long long>(threads),
                    no_timing ? 0.0 : best_ms,
-                   no_timing ? 0.0 : reference_ms / best_ms, plan.k,
+                   no_timing ? 0.0 : serial_ms / best_ms, plan.k,
                    plan.total_power, strformat("%016llx",
                        static_cast<unsigned long long>(fp)),
                    std::string(identical ? "yes" : "NO")});
   }
   table.print(std::cout, fmt);
 
-  std::printf("\nfingerprint fast=%016llx reference=%016llx identical=%s\n",
-              static_cast<unsigned long long>(fast_fp),
-              static_cast<unsigned long long>(reference_fp),
+  std::printf("\nserial cold sweep work: k_candidates=%llu "
+              "slack_estimates=%llu slack_samples=%llu\n",
+              static_cast<unsigned long long>(sweep_work[0]),
+              static_cast<unsigned long long>(sweep_work[1]),
+              static_cast<unsigned long long>(sweep_work[2]));
+  std::printf("fingerprint %016llx identical=%s\n",
+              static_cast<unsigned long long>(serial_fp),
               all_identical ? "yes" : "NO");
   if (!all_identical) {
-    std::printf("FAIL: plans differ across implementations/threads\n");
+    std::printf("FAIL: plans differ across thread counts\n");
     return EXIT_FAILURE;
   }
   if (!no_timing) {
-    std::printf("serial cold sweep: reference %.2f ms, fast %.2f ms "
-                "(%.1fx)\n",
-                reference_ms, fast_serial_ms,
-                fast_serial_ms > 0.0 ? reference_ms / fast_serial_ms : 0.0);
+    std::printf("serial cold sweep: %.2f ms\n", serial_ms);
   }
-  std::printf("all implementations and thread counts produced "
-              "byte-identical plans\n");
+  std::printf("all thread counts produced byte-identical plans\n");
   return EXIT_SUCCESS;
 }

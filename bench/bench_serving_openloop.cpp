@@ -18,7 +18,12 @@
 //       [--epoch-len=300] [--admission=...] [--threads=N] [--epoch-log=F]
 //       [--temporal] [--temporal-flows=N] [--temporal-cap=MBIT]
 //       [--temporal-volume=MBIT]
+//
+// A config the harness rejects (e.g. --horizon=-5) prints
+// `error: <reason>` and exits 2.
 #include <cinttypes>
+#include <cstdio>
+#include <stdexcept>
 
 #include "bench_common.h"
 #include "obs/jsonl.h"
@@ -42,9 +47,7 @@ std::uint64_t fingerprint_windows(
   return h;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_sweep(int argc, char** argv) {
   const Cli cli(argc, argv);
   const TableFormat fmt = table_format_from_cli(cli);
   const ServingFlags serve = serving_flags_from_cli(cli);
@@ -145,4 +148,15 @@ int main(int argc, char** argv) {
   std::printf("serving_throughput_qps: %.3f\n", peak_throughput_qps);
   std::printf("serving_total_arrivals: %lld\n", total_arrivals);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run_sweep(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 }

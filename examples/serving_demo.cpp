@@ -10,8 +10,11 @@
 // With --epoch-log the run streams one JSONL record per planner epoch
 // (epoch_controller / attribution / plan_explain) interleaved with one
 // serving_window record per report window — feed the file to
-// tools/eprons_report.py for the serving section.
+// tools/eprons_report.py for the serving section. A config the harness
+// rejects (e.g. --horizon=-5) prints `error: <reason>` and exits 2.
+#include <cstdio>
 #include <iostream>
+#include <stdexcept>
 
 #include "core/scenario.h"
 #include "serve/serving_harness.h"
@@ -20,7 +23,9 @@
 
 using namespace eprons;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_demo(int argc, char** argv) {
   const Cli cli(argc, argv);
   const TableFormat fmt = table_format_from_cli(cli);
   const ServingFlags serve = serving_flags_from_cli(cli);
@@ -105,4 +110,15 @@ int main(int argc, char** argv) {
         report.schedule.used_edf_fallback ? " (EDF fallback)" : "");
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run_demo(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 }

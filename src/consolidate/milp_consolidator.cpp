@@ -306,7 +306,11 @@ ConsolidationResult MilpConsolidator::solve_impl(
   calls.add();
 
   const Graph& graph = topo.graph();
-  if (flows.empty()) return empty_flows_result(graph, config);
+  if (flows.empty()) {
+    last_nodes_.store(0, std::memory_order_relaxed);
+    last_proven_optimal_.store(true, std::memory_order_relaxed);
+    return empty_flows_result(graph, config);
+  }
 
   const PathMilp milp = build_path_milp(topo, flows, config);
 
@@ -319,6 +323,8 @@ ConsolidationResult MilpConsolidator::solve_impl(
   const lp::Solution sol =
       solver.solve(milp.model, hint.empty() ? nullptr : &hint);
   last_nodes_.store(solver.last_node_count(), std::memory_order_relaxed);
+  last_proven_optimal_.store(sol.status == lp::SolveStatus::Optimal,
+                             std::memory_order_relaxed);
   nodes.add(static_cast<std::uint64_t>(
       std::max<long long>(0, solver.last_node_count())));
   pivots.add(static_cast<std::uint64_t>(solver.last_pivot_count()));

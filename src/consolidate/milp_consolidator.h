@@ -37,11 +37,13 @@ class MilpConsolidator : public Consolidator {
   MilpConsolidator(const MilpConsolidator& other)
       : topo_(other.topo_),
         options_(other.options_),
-        last_nodes_(other.last_nodes_.load()) {}
+        last_nodes_(other.last_nodes_.load()),
+        last_proven_optimal_(other.last_proven_optimal_.load()) {}
   MilpConsolidator& operator=(const MilpConsolidator& other) {
     topo_ = other.topo_;
     options_ = other.options_;
     last_nodes_.store(other.last_nodes_.load());
+    last_proven_optimal_.store(other.last_proven_optimal_.load());
     return *this;
   }
 
@@ -73,6 +75,12 @@ class MilpConsolidator : public Consolidator {
   /// Branch-and-bound nodes used by the last consolidate() call.
   long long last_node_count() const { return last_nodes_.load(); }
 
+  /// Whether the last consolidate() call proved its placement optimal. A
+  /// solve cut off by the node limit (or a node LP's iteration cap) can
+  /// still return a feasible placement — its incumbent — which is then
+  /// not proven optimal and may use more switches than the optimum.
+  bool last_proven_optimal() const { return last_proven_optimal_.load(); }
+
  private:
   ConsolidationResult solve_impl(const Topology& topo, const FlowSet& flows,
                                  const ConsolidationConfig& config,
@@ -81,6 +89,7 @@ class MilpConsolidator : public Consolidator {
   const Topology* topo_;
   MilpConsolidatorOptions options_;
   mutable std::atomic<long long> last_nodes_{0};
+  mutable std::atomic<bool> last_proven_optimal_{false};
 };
 
 }  // namespace eprons

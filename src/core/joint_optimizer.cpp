@@ -135,9 +135,8 @@ JointOptimizer::Assembly JointOptimizer::assemble_flows(
 
 void JointOptimizer::consolidate_into(JointPlan& plan,
                                       const Assembly& assembly, double k,
-                                      const PlanConstraints* constraints,
-                                      const WarmStartHint* warm,
-                                      bool reference_enumeration) const {
+                                      const PlanConstraints& constraints,
+                                      const WarmStartHint* warm) const {
   plan.k = k;
   plan.flows = assembly.flows;
   plan.request_flow = assembly.request_flow;
@@ -147,19 +146,15 @@ void JointOptimizer::consolidate_into(JointPlan& plan,
   consolidation.scale_factor_k = k;
   // The catalog only memoizes what the consolidator would enumerate anyway
   // (candidate paths in identical order), so wiring it in never changes
-  // the placement — reference_enumeration exists to prove that.
-  if (reference_enumeration) {
-    consolidation.path_catalog = nullptr;
-  } else if (consolidation.path_catalog == nullptr) {
+  // the placement.
+  if (consolidation.path_catalog == nullptr) {
     consolidation.path_catalog = &path_catalog_;
   }
-  if (constraints) {
-    if (!constraints->allowed_switches.empty()) {
-      consolidation.allowed_switches = constraints->allowed_switches;
-    }
-    if (!constraints->blocked_links.empty()) {
-      consolidation.blocked_links = constraints->blocked_links;
-    }
+  if (!constraints.allowed_switches.empty()) {
+    consolidation.allowed_switches = constraints.allowed_switches;
+  }
+  if (!constraints.blocked_links.empty()) {
+    consolidation.blocked_links = constraints.blocked_links;
   }
   plan.placement =
       warm != nullptr
@@ -180,8 +175,8 @@ LinkUtilization JointOptimizer::offered_load_for(const JointPlan& plan,
                                query_stream_rate(lambda, 2000.0));
 }
 
-void JointOptimizer::finalize_plan(JointPlan& plan, double utilization,
-                                   bool reference_dvfs) const {
+void JointOptimizer::finalize_plan(JointPlan& plan,
+                                   double utilization) const {
   PlannerMetrics& pm = PlannerMetrics::get();
   pm.slack_p95.observe(plan.slack.total_p95);
 
@@ -212,9 +207,8 @@ void JointOptimizer::finalize_plan(JointPlan& plan, double utilization,
   {
     const obs::ScopedSpan predict_span(obs::tracer(), "server_power_predict",
                                        "planner", "k", plan.k);
-    const ServerPowerPredictor predictor(
-        service_model_, power_model_, config_.predictor,
-        reference_dvfs ? nullptr : vp_table_.get());
+    const ServerPowerPredictor predictor(service_model_, power_model_,
+                                         config_.predictor, vp_table_.get());
     plan.server = predictor.predict(utilization, plan.effective_server_budget);
   }
   plan.feasible = placement_ok && !plan.server.budget_infeasible;
@@ -270,38 +264,30 @@ void JointOptimizer::explain_header(obs::PlanExplainRecord& explain,
 
 JointPlan JointOptimizer::plan_impl(const Assembly& assembly,
                                     double utilization, double k,
-                                    ThreadPool* slack_pool, bool serial_slack,
-                                    const PlanConstraints* constraints,
-                                    const WarmStartHint* warm,
-                                    const ReferenceKnobs& knobs) const {
+                                    const PlanConstraints& constraints,
+                                    const WarmStartHint* warm) const {
   const obs::ScopedSpan span(obs::tracer(), "plan_k", "planner", "k", k);
   PlannerMetrics& pm = PlannerMetrics::get();
   pm.candidates.add();
 
   JointPlan plan;
-  consolidate_into(plan, assembly, k, constraints, warm, knobs.enumeration);
+  consolidate_into(plan, assembly, k, constraints, warm);
 
   const LinkUtilization load = offered_load_for(plan, utilization);
-  SlackEstimatorConfig slack_config = config_.slack;
-  if (serial_slack) slack_config.runtime.threads = 1;
-  const SlackEstimator estimator(slack_config);
-  SlackEstimator::Query query;
-  query.placement = &plan.placement;
-  query.offered_load = &load;
-  query.request_flows = &plan.request_flow;
-  query.reply_flows = &plan.reply_flow;
-  plan.slack = estimator.estimate(query, slack_pool, knobs.slack);
+  plan.slack = SlackEstimator(config_.slack)
+                   .estimate({&plan.placement, &load, &plan.request_flow,
+                              &plan.reply_flow},
+                             pool_.get());
 
-  finalize_plan(plan, utilization, knobs.dvfs);
+  finalize_plan(plan, utilization);
   return plan;
 }
 
 JointPlan JointOptimizer::plan_for_k(const FlowSet& background,
                                      double utilization, double k) const {
   const Assembly assembly = assemble_flows(background);
-  return plan_impl(assembly, utilization, k, pool_.get(),
-                   /*serial_slack=*/false, /*constraints=*/nullptr,
-                   /*warm=*/nullptr, ReferenceKnobs{});
+  return plan_impl(assembly, utilization, k, PlanConstraints{},
+                   /*warm=*/nullptr);
 }
 
 JointPlan JointOptimizer::optimize(const PlanRequest& request) const {
@@ -349,20 +335,12 @@ JointPlan JointOptimizer::optimize(const PlanRequest& request) const {
       return cached;
     }
 
-    const bool constrained = !constraints.allowed_switches.empty() ||
-                             !constraints.blocked_links.empty() ||
-                             constraints.k_min > 0.0;
-    const ReferenceKnobs knobs{request.use_reference_slack,
-                               request.use_reference_dvfs,
-                               request.use_reference_enumeration};
     WarmStartHint hint;
     hint.previous_flows = &previous->flows;
     hint.previous = &previous->placement;
     hint.max_extra_switches = config_.incremental.max_extra_switches;
     JointPlan plan = plan_impl(assembly, request.utilization, previous->k,
-                               pool_.get(), /*serial_slack=*/false,
-                               constrained ? &constraints : nullptr, &hint,
-                               knobs);
+                               constraints, &hint);
     if (plan.feasible) {
       pm.searches.add();
       pm.warm_accepts.add();
@@ -399,9 +377,6 @@ JointPlan JointOptimizer::cold_search(const Assembly& assembly,
   pm.searches.add();
 
   const PlanConstraints& constraints = request.constraints;
-  const bool constrained = !constraints.allowed_switches.empty() ||
-                           !constraints.blocked_links.empty() ||
-                           constraints.k_min > 0.0;
   const double k_floor = std::max(config_.k_min, constraints.k_min);
   std::vector<double> candidates;
   for (double k = k_floor; k <= config_.k_max + 1e-9; k += config_.k_step) {
@@ -422,92 +397,66 @@ JointPlan JointOptimizer::cold_search(const Assembly& assembly,
     }
   }
 
-  const ReferenceKnobs knobs{request.use_reference_slack,
-                             request.use_reference_dvfs,
-                             request.use_reference_enumeration};
-  const bool parallel_candidates =
-      pool_ != nullptr && pool_->num_threads() > 1 && candidates.size() > 1;
+  // Stage 1: consolidate every candidate (concurrently when a pool
+  // exists). Consolidation is cheap next to slack estimation, but keeping
+  // it parallel preserves the sweep's scaling on big topologies.
+  parallel_for(pool_.get(), candidates.size(), [&](std::size_t i) {
+    if (from_cache[i]) return;
+    const obs::ScopedSpan k_span(obs::tracer(), "plan_k", "planner", "k",
+                                 candidates[i]);
+    pm.candidates.add();
+    consolidate_into(plans[i], assembly, candidates[i], constraints,
+                     /*warm=*/nullptr);
+  });
 
-  if (request.use_reference_slack) {
-    // Reference sweep shape: every candidate runs the whole per-candidate
-    // pipeline (concurrently when a pool exists). While the candidates
-    // occupy the pool the slack estimator runs its shards serially within
-    // each candidate — shard count, not worker placement, determines the
-    // estimates, so this only shapes the schedule.
-    parallel_for(pool_.get(), candidates.size(), [&](std::size_t i) {
-      if (from_cache[i]) return;
-      plans[i] = plan_impl(assembly, request.utilization, candidates[i],
-                           parallel_candidates ? nullptr : pool_.get(),
-                           /*serial_slack=*/parallel_candidates,
-                           constrained ? &constraints : nullptr,
-                           /*warm=*/nullptr, knobs);
-    });
-  } else {
-    // Fast sweep, stage 1: consolidate every candidate (concurrently when
-    // a pool exists). Consolidation is cheap next to slack estimation, but
-    // keeping it parallel preserves the sweep's scaling on big topologies.
-    parallel_for(pool_.get(), candidates.size(), [&](std::size_t i) {
-      if (from_cache[i]) return;
-      const obs::ScopedSpan k_span(obs::tracer(), "plan_k", "planner", "k",
-                                   candidates[i]);
-      pm.candidates.add();
-      consolidate_into(plans[i], assembly, candidates[i],
-                       constrained ? &constraints : nullptr,
-                       /*warm=*/nullptr, knobs.enumeration);
-    });
-
-    // Stage 2: slack. Identical routings (flow_paths) across the sweep see
-    // identical offered load, and the estimate is a pure function of
-    // (routing, load, seed) — so estimate once per unique routing and
-    // share the result. At moderate load every K often consolidates to the
-    // same routing, collapsing the sweep's Monte-Carlo cost to one
-    // estimate. Grouping runs serially in candidate order; the batch
-    // itself parallelizes over (query, shard) units.
-    std::vector<std::size_t> leaders;
-    std::vector<std::size_t> group_of(candidates.size(), 0);
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      if (from_cache[i]) continue;
-      bool grouped = false;
-      for (std::size_t g = 0; g < leaders.size(); ++g) {
-        if (plans[leaders[g]].placement.flow_paths ==
-            plans[i].placement.flow_paths) {
-          group_of[i] = g;
-          grouped = true;
-          break;
-        }
-      }
-      if (!grouped) {
-        group_of[i] = leaders.size();
-        leaders.push_back(i);
-      }
-    }
-
-    std::vector<LinkUtilization> loads;
-    loads.reserve(leaders.size());
-    for (std::size_t j : leaders) {
-      loads.push_back(offered_load_for(plans[j], request.utilization));
-    }
-    std::vector<SlackEstimator::Query> queries;
-    queries.reserve(leaders.size());
+  // Stage 2: slack. Identical routings (flow_paths) across the sweep see
+  // identical offered load, and the estimate is a pure function of
+  // (routing, load, seed) — so estimate once per unique routing and share
+  // the result. At moderate load every K often consolidates to the same
+  // routing, collapsing the sweep's Monte-Carlo cost to one estimate.
+  // Grouping runs serially in candidate order; the batch itself
+  // parallelizes over (query, shard) units.
+  std::vector<std::size_t> leaders;
+  std::vector<std::size_t> group_of(candidates.size(), 0);
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    if (from_cache[i]) continue;
+    bool grouped = false;
     for (std::size_t g = 0; g < leaders.size(); ++g) {
-      SlackEstimator::Query query;
-      query.placement = &plans[leaders[g]].placement;
-      query.offered_load = &loads[g];
-      query.request_flows = &plans[leaders[g]].request_flow;
-      query.reply_flows = &plans[leaders[g]].reply_flow;
-      queries.push_back(query);
+      if (plans[leaders[g]].placement.flow_paths ==
+          plans[i].placement.flow_paths) {
+        group_of[i] = g;
+        grouped = true;
+        break;
+      }
     }
-    const SlackEstimator estimator(config_.slack);
-    const std::vector<SlackEstimate> estimates =
-        estimator.estimate_many(queries, pool_.get());
+    if (!grouped) {
+      group_of[i] = leaders.size();
+      leaders.push_back(i);
+    }
+  }
 
-    // Stage 3: budget split, prediction and classification per candidate,
-    // serially in candidate order (telemetry order matches the reference).
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      if (from_cache[i]) continue;
-      plans[i].slack = estimates[group_of[i]];
-      finalize_plan(plans[i], request.utilization, knobs.dvfs);
-    }
+  std::vector<LinkUtilization> loads;
+  loads.reserve(leaders.size());
+  for (std::size_t j : leaders) {
+    loads.push_back(offered_load_for(plans[j], request.utilization));
+  }
+  std::vector<SlackEstimator::Query> queries;
+  queries.reserve(leaders.size());
+  for (std::size_t g = 0; g < leaders.size(); ++g) {
+    const JointPlan& leader = plans[leaders[g]];
+    queries.push_back({&leader.placement, &loads[g], &leader.request_flow,
+                       &leader.reply_flow});
+  }
+  const SlackEstimator estimator(config_.slack);
+  const std::vector<SlackEstimate> estimates =
+      estimator.estimate_many(queries, pool_.get());
+
+  // Stage 3: budget split, prediction and classification per candidate,
+  // serially in candidate order, so telemetry order is fixed.
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    if (from_cache[i]) continue;
+    plans[i].slack = estimates[group_of[i]];
+    finalize_plan(plans[i], request.utilization);
   }
 
   if (cache_key != nullptr) {
@@ -577,36 +526,6 @@ JointPlan JointOptimizer::cold_search(const Assembly& assembly,
                    << " (network p95 " << fallback.slack.total_p95
                    << " us, marked infeasible)";
   return fallback;
-}
-
-JointPlan JointOptimizer::optimize(const FlowSet& background,
-                                   double utilization) const {
-  PlanRequest request;
-  request.background = &background;
-  request.utilization = utilization;
-  return optimize(request);
-}
-
-JointPlan JointOptimizer::optimize(const FlowSet& background,
-                                   double utilization,
-                                   const PlanConstraints& constraints) const {
-  PlanRequest request;
-  request.background = &background;
-  request.utilization = utilization;
-  request.constraints = constraints;
-  return optimize(request);
-}
-
-JointPlan JointOptimizer::optimize(const FlowSet& background,
-                                   double utilization,
-                                   const PlanConstraints& constraints,
-                                   const JointPlan* previous) const {
-  PlanRequest request;
-  request.background = &background;
-  request.utilization = utilization;
-  request.constraints = constraints;
-  request.previous = previous;
-  return optimize(request);
 }
 
 }  // namespace eprons

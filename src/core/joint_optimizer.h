@@ -13,16 +13,19 @@
 // it), so it is engineered twice over:
 //   * with `runtime.threads > 1` all candidates are evaluated concurrently
 //     on an internal ThreadPool;
-//   * the cold sweep's three traced hot spots each have a fast
+//   * the cold sweep's three traced hot spots each run a fast
 //     implementation — batched prepared-path Monte-Carlo with per-shard
 //     scratch (SlackEstimator), per-frequency CCDF lookup tables built
 //     once at construction (dvfs/vp_table.h), and memoized per-pair path
 //     enumeration shared across the K candidates (topo/path_catalog.h) —
 //     plus placement deduplication: K candidates that consolidate to the
 //     same routing share one slack estimate.
-// Every fast path reproduces the reference arithmetic and RNG stream bit
-// for bit, so the chosen plan is byte-identical for any thread count and
-// any PlanRequest knob combination (asserted by tests/fastpath_test.cpp).
+// Each fast implementation reproduces the arithmetic and RNG stream of the
+// straightforward one bit for bit, and the chosen plan is byte-identical
+// for any thread count. tests/fastpath_test.cpp checks each layer against
+// its oracle (the sweep against per-candidate plan_for_k, VpTable against
+// the convolution scan, the PathCatalog against per-call enumeration) and
+// pins the slack estimator's bits.
 #pragma once
 
 #include <memory>
@@ -140,12 +143,7 @@ struct JointPlan {
   Power total_power = 0.0;
 };
 
-/// One planning request: everything optimize() needs for a call, plus
-/// per-call knobs selecting the fast or the retained reference
-/// implementation of each optimized subsystem. The knobs exist for
-/// differential testing and for bisecting a determinism regression
-/// (docs/DETERMINISM.md): every knob combination returns a byte-identical
-/// JointPlan — only the wall-clock differs.
+/// One planning request: everything optimize() needs for a call.
 struct PlanRequest {
   /// The background (non-query) traffic to place. Required; not owned.
   const FlowSet* background = nullptr;
@@ -158,16 +156,6 @@ struct PlanRequest {
   /// IncrementalPlanningConfig); nullptr — or incremental planning
   /// disabled — runs the cold K sweep. Not owned.
   const JointPlan* previous = nullptr;
-  /// Per-sample Monte-Carlo path walks instead of the batched
-  /// prepared-path sampler, and a per-candidate slack estimate instead of
-  /// the sweep's placement-deduplicated batch.
-  bool use_reference_slack = false;
-  /// Per-decision equivalent-work convolution lookups instead of the
-  /// precomputed per-frequency CCDF tables.
-  bool use_reference_dvfs = false;
-  /// Per-call Topology::all_paths() enumeration instead of the memoized
-  /// PathCatalog.
-  bool use_reference_enumeration = false;
   /// When non-null, optimize() fills a structured explanation of the call:
   /// which path ran (cold sweep / warm re-evaluation / cache hit), the full
   /// candidate-K table with per-candidate power, violation probability and
@@ -191,7 +179,10 @@ class JointOptimizer {
   const JointOptimizerConfig& config() const { return config_; }
   const Consolidator& consolidator() const { return *consolidator_; }
 
-  /// Evaluates one candidate K (used directly by ablation benches).
+  /// Evaluates one candidate K through the whole per-candidate pipeline
+  /// (consolidate, estimate slack, predict server power) without the
+  /// sweep's placement deduplication. Used directly by ablation benches,
+  /// and the oracle optimize()'s cold sweep is tested against.
   JointPlan plan_for_k(const FlowSet& background, double utilization,
                        double k) const;
 
@@ -204,40 +195,22 @@ class JointOptimizer {
   /// routing, short-circuiting the sweep when it is still feasible;
   /// evaluated plans land in (and are first looked up from) the PlanCache.
   /// Candidates are evaluated in parallel when config.runtime.threads > 1;
-  /// the result is bit-identical for any thread count and any
-  /// use_reference_* knob combination.
+  /// the result is bit-identical for any thread count.
   JointPlan optimize(const PlanRequest& request) const;
-
-  /// Deprecated compatibility shims over optimize(const PlanRequest&).
-  [[deprecated("build a PlanRequest and call optimize(const PlanRequest&)")]]
-  JointPlan optimize(const FlowSet& background, double utilization) const;
-  [[deprecated("build a PlanRequest and call optimize(const PlanRequest&)")]]
-  JointPlan optimize(const FlowSet& background, double utilization,
-                     const PlanConstraints& constraints) const;
-  [[deprecated("build a PlanRequest and call optimize(const PlanRequest&)")]]
-  JointPlan optimize(const FlowSet& background, double utilization,
-                     const PlanConstraints& constraints,
-                     const JointPlan* previous) const;
 
  private:
   /// Background + query flows assembled once per optimize() call and
   /// shared (read-only) by every K candidate.
   struct Assembly;
-  /// The PlanRequest escape hatches, threaded through the pipeline.
-  struct ReferenceKnobs {
-    bool slack = false;
-    bool dvfs = false;
-    bool enumeration = false;
-  };
 
   Assembly assemble_flows(const FlowSet& background) const;
 
   /// Consolidates one candidate into `plan` (k, flows, placement,
-  /// network_power). `constraints`/`warm` may be null.
+  /// network_power). Empty constraint masks keep the configured ones;
+  /// `warm` may be null.
   void consolidate_into(JointPlan& plan, const Assembly& assembly, double k,
-                        const PlanConstraints* constraints,
-                        const WarmStartHint* warm,
-                        bool reference_enumeration) const;
+                        const PlanConstraints& constraints,
+                        const WarmStartHint* warm) const;
 
   /// Offered load of the plan's placement at actual (unreserved) query
   /// rates — the slack estimator's input.
@@ -246,8 +219,7 @@ class JointOptimizer {
 
   /// Budget split, server power prediction, feasibility classification and
   /// per-candidate telemetry; requires plan.slack to be filled in.
-  void finalize_plan(JointPlan& plan, double utilization,
-                     bool reference_dvfs) const;
+  void finalize_plan(JointPlan& plan, double utilization) const;
 
   /// Cluster-level power roll-up from plan.server and plan.network_power:
   /// hosts x the per-server components, then the fixed-order sums that
@@ -261,21 +233,14 @@ class JointOptimizer {
                       const JointPlan& chosen) const;
 
   /// Full per-candidate pipeline (consolidate + slack + finalize) for one
-  /// K. `slack_pool` parallelizes the slack estimator's shards;
-  /// `serial_slack` forces shard-serial estimation (used when the K
-  /// candidates themselves already occupy the pool). Neither affects the
-  /// returned plan, only how fast it is computed.
+  /// K; the slack estimator's shards run on the optimizer's pool.
   JointPlan plan_impl(const Assembly& assembly, double utilization, double k,
-                      ThreadPool* slack_pool, bool serial_slack,
-                      const PlanConstraints* constraints,
-                      const WarmStartHint* warm,
-                      const ReferenceKnobs& knobs) const;
+                      const PlanConstraints& constraints,
+                      const WarmStartHint* warm) const;
 
-  /// The cold full K sweep. The fast shape consolidates all candidates,
-  /// deduplicates identical placements, batch-estimates slack once per
-  /// unique placement, then finalizes per candidate; with
-  /// use_reference_slack the retained per-candidate pipeline runs instead.
-  /// `cache_key` (may be null) enables per-candidate PlanCache probes
+  /// The cold full K sweep: consolidates all candidates, deduplicates
+  /// identical placements, batch-estimates slack once per unique
+  /// placement, then finalizes per candidate. `cache_key` (may be null) enables per-candidate PlanCache probes
   /// before the parallel region and candidate-order inserts after it.
   JointPlan cold_search(const Assembly& assembly, const PlanRequest& request,
                         const PlanCacheKey* cache_key) const;
@@ -292,8 +257,8 @@ class JointOptimizer {
   PathCatalog path_catalog_;
   /// Per-frequency CCDF tables for the predictor's frequency scan, built
   /// eagerly at construction — which also pre-warms the service model's
-  /// convolution cache so the reference predictor path is read-only under
-  /// the parallel sweep.
+  /// convolution cache, so the predictor only reads it under the parallel
+  /// sweep.
   std::unique_ptr<VpTable> vp_table_;
   /// Probed/filled only from serial sections of optimize(), so its contents
   /// and counters are independent of the worker count.

@@ -13,10 +13,10 @@ namespace eprons {
 namespace {
 
 // Antithetic iterations per draw block. Each block pre-draws its
-// exponential uniforms, batch-evaluates their logs (vectorized on the fast
-// path), then combines — so this constant is part of the RNG-consumption
-// order and therefore of the result definition. 32 iterations keep the
-// block's scratch L1-resident for the path lengths we see.
+// exponential uniforms, batch-evaluates their logs (vectorized), then
+// combines — so this constant is part of the RNG-consumption order and
+// therefore of the result definition. 32 iterations keep the block's
+// scratch L1-resident for the path lengths we see.
 constexpr std::size_t kIterChunk = 32;
 
 // Mean over the buffer's insertion order (shard order, draw order within a
@@ -73,14 +73,13 @@ void tail_quantiles(std::vector<double>& v, double* p95, double* p99) {
 SlackEstimator::SlackEstimator(SlackEstimatorConfig config)
     : config_(std::move(config)) {}
 
-SlackEstimate SlackEstimator::estimate(const Query& query, ThreadPool* pool,
-                                       bool reference_sampling) const {
-  return estimate_many({query}, pool, reference_sampling).front();
+SlackEstimate SlackEstimator::estimate(const Query& query,
+                                       ThreadPool* pool) const {
+  return estimate_many({query}, pool).front();
 }
 
 std::vector<SlackEstimate> SlackEstimator::estimate_many(
-    const std::vector<Query>& queries, ThreadPool* pool,
-    bool reference_sampling) const {
+    const std::vector<Query>& queries, ThreadPool* pool) const {
   std::vector<SlackEstimate> out(queries.size());
   if (queries.empty()) return out;
   const obs::ScopedSpan span(obs::tracer(), "slack_estimate", "planner",
@@ -179,10 +178,8 @@ std::vector<SlackEstimate> SlackEstimator::estimate_many(
     const LinkLatencyModel& model = estimator.model();
     double* req_out = buffers[q].request.data() + buffers[q].shard_offset[s];
     double* tot_out = buffers[q].total.data() + buffers[q].shard_offset[s];
-    // Per-shard scratch, reused across pairs and blocks. The fast path
-    // prepares each pair's hop constants once; the reference path
-    // re-derives them from the live utilization tables on every
-    // iteration.
+    // Per-shard scratch, reused across pairs and blocks; each pair's hop
+    // constants are prepared once.
     std::vector<PreparedHop> request_hops;
     std::vector<PreparedHop> reply_hops;
     std::vector<double> log_e;
@@ -193,20 +190,18 @@ std::vector<SlackEstimate> SlackEstimator::estimate_many(
     // the odd half). Iterations proceed in blocks of kIterChunk: phase 1
     // pre-draws the block's exponential uniforms in (iteration, hop)
     // order — request hops then reply hops — phase 2 batch-evaluates
-    // their logs (vectorized fast_log_block on the fast path, scalar
-    // fast_log on the reference path: bit-identical), and phase 3
-    // combines per hop, drawing the burst/collision uniforms in the same
-    // (iteration, hop) order (see LinkLatencyModel::combine_hop_pair).
+    // their logs (vectorized fast_log_block_antithetic, bit-identical to
+    // scalar fast_log), and phase 3 combines per hop, drawing the
+    // burst/collision uniforms in the same (iteration, hop) order (see
+    // LinkLatencyModel::combine_hop_pair).
     const std::size_t iters_total = (samples_per_pair + 1) / 2;
     for (std::size_t i = s; i < pairs.size(); i += shards) {
       const auto& [req, rep] = pairs[i];
       const std::size_t request_len = req->size() - 1;
       const std::size_t reply_len = rep->size() - 1;
       const std::size_t hops = request_len + reply_len;
-      if (!reference_sampling) {
-        estimator.prepare(*req, &request_hops);
-        estimator.prepare(*rep, &reply_hops);
-      }
+      estimator.prepare(*req, &request_hops);
+      estimator.prepare(*rep, &reply_hops);
       for (std::size_t it0 = 0; it0 < iters_total; it0 += kIterChunk) {
         const std::size_t block =
             std::min(kIterChunk, iters_total - it0);
@@ -218,19 +213,12 @@ std::vector<SlackEstimate> SlackEstimator::estimate_many(
           // u in (0,1), 1-u in (0,1]; log(1) == 0 is a valid Exp draw.
           log_e[j] = u;
         }
-        if (!reference_sampling) {
-          log_o.resize(n);
-          fast_log_block_antithetic(log_e.data(), log_e.data(), log_o.data(),
-                                    n);
-        }
+        log_o.resize(n);
+        fast_log_block_antithetic(log_e.data(), log_e.data(), log_o.data(),
+                                  n);
         for (std::size_t j = 0; j < block; ++j) {
-          if (reference_sampling) {
-            estimator.prepare(*req, &request_hops);
-            estimator.prepare(*rep, &reply_hops);
-          }
           const double* le = log_e.data() + j * hops;
-          const double* lo =
-              reference_sampling ? nullptr : log_o.data() + j * hops;
+          const double* lo = log_o.data() + j * hops;
           SimTime req_e = 0.0;
           SimTime req_o = 0.0;
           SimTime rep_e = 0.0;
@@ -238,31 +226,14 @@ std::vector<SlackEstimate> SlackEstimator::estimate_many(
           SimTime hop_e;
           SimTime hop_o;
           for (std::size_t h = 0; h < request_len; ++h) {
-            double a = le[h];
-            double b;
-            if (reference_sampling) {
-              // le still holds the raw uniform; take the scalar logs (the
-              // exact 1.0 - u the fused block pass computes).
-              b = fast_log(1.0 - a);
-              a = fast_log(a);
-            } else {
-              b = lo[h];
-            }
-            model.combine_hop_pair(request_hops[h], a, b, rng, &hop_e,
+            model.combine_hop_pair(request_hops[h], le[h], lo[h], rng, &hop_e,
                                    &hop_o);
             req_e += hop_e;
             req_o += hop_o;
           }
           for (std::size_t h = 0; h < reply_len; ++h) {
-            double a = le[request_len + h];
-            double b;
-            if (reference_sampling) {
-              b = fast_log(1.0 - a);
-              a = fast_log(a);
-            } else {
-              b = lo[request_len + h];
-            }
-            model.combine_hop_pair(reply_hops[h], a, b, rng, &hop_e, &hop_o);
+            model.combine_hop_pair(reply_hops[h], le[request_len + h],
+                                   lo[request_len + h], rng, &hop_e, &hop_o);
             rep_e += hop_e;
             rep_o += hop_o;
           }
@@ -292,23 +263,6 @@ std::vector<SlackEstimate> SlackEstimator::estimate_many(
     tail_quantiles(buf.total, &out[q].total_p95, &out[q].total_p99);
   }
   return out;
-}
-
-SlackEstimate estimate_network_slack(const Graph& graph,
-                                     const ConsolidationResult& placement,
-                                     const LinkUtilization& offered_load,
-                                     const std::vector<FlowId>& request_flows,
-                                     const std::vector<FlowId>& reply_flows,
-                                     const SlackEstimatorConfig& config,
-                                     ThreadPool* pool) {
-  (void)graph;
-  const SlackEstimator estimator(config);
-  SlackEstimator::Query query;
-  query.placement = &placement;
-  query.offered_load = &offered_load;
-  query.request_flows = &request_flows;
-  query.reply_flows = &reply_flows;
-  return estimator.estimate(query, pool);
 }
 
 }  // namespace eprons

@@ -23,14 +23,13 @@
 // and collision uniforms in the same (iteration, hop) order — so the whole
 // scheme, block size included, is part of the result definition.
 //
-// Two samplers share that skeleton. The default (fast) path prepares each
-// pair's per-hop constants once (net/path_latency.h PreparedHop) and runs
-// the logs through the vectorized stats/fast_log block; the reference
-// sampler re-derives the constants — two directed-utilization lookups per
-// hop — on every iteration and takes scalar logs. Both consume the same
-// RNG stream and produce the same bits (SIMD lanes run the identical IEEE
-// op sequence); `reference_sampling` exists for differential tests and for
-// bisecting a determinism regression (docs/DETERMINISM.md).
+// Each pair's per-hop constants are prepared once (net/path_latency.h
+// PreparedHop), and the logs run through the vectorized stats/fast_log
+// block, whose SIMD lanes run the same IEEE op sequence as scalar fast_log.
+// The per-sample walk PathLatencyEstimator::sample_pair consumes the same
+// RNG stream and returns the same bits; tests/fastpath_test.cpp checks that
+// parity and pins the estimator's output bits, so any change to the
+// sampling scheme fails a test (docs/DETERMINISM.md).
 #pragma once
 
 #include <vector>
@@ -88,9 +87,9 @@ class SlackEstimator {
   /// callers exercise the same code path as the batch). When `pool` is
   /// non-null the shards run on it; otherwise a pool is created for the
   /// call when config.runtime.threads > 1, else the shards run serially.
-  /// All modes — and both samplers — return bit-identical estimates.
-  SlackEstimate estimate(const Query& query, ThreadPool* pool = nullptr,
-                         bool reference_sampling = false) const;
+  /// All modes return bit-identical estimates.
+  SlackEstimate estimate(const Query& query,
+                         ThreadPool* pool = nullptr) const;
 
   /// Batch entry point: estimates every query, parallelizing over
   /// (query, shard) units, so a K sweep with deduplicated placements keeps
@@ -98,22 +97,10 @@ class SlackEstimator {
   /// query is seeded exactly as a standalone estimate() — result i is
   /// bit-identical to estimate(queries[i]).
   std::vector<SlackEstimate> estimate_many(const std::vector<Query>& queries,
-                                           ThreadPool* pool = nullptr,
-                                           bool reference_sampling =
-                                               false) const;
+                                           ThreadPool* pool = nullptr) const;
 
  private:
   SlackEstimatorConfig config_;
 };
-
-/// Single-shot compatibility wrapper over SlackEstimator::estimate (the
-/// original free-function entry point; prefer the class for new callers).
-SlackEstimate estimate_network_slack(const Graph& graph,
-                                     const ConsolidationResult& placement,
-                                     const LinkUtilization& offered_load,
-                                     const std::vector<FlowId>& request_flows,
-                                     const std::vector<FlowId>& reply_flows,
-                                     const SlackEstimatorConfig& config,
-                                     ThreadPool* pool = nullptr);
 
 }  // namespace eprons

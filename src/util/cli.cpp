@@ -81,18 +81,12 @@ RuntimeConfig runtime_from_cli(const Cli& cli) {
 }
 
 TableFormat table_format_from_cli(const Cli& cli) {
-  if (cli.has_flag("json")) return TableFormat::kJson;
-  if (cli.has_flag("csv")) return TableFormat::kCsv;
+  // Query both flags, so neither reads as unused when both are given.
+  const bool json = cli.has_flag("json");
+  const bool csv = cli.has_flag("csv");
+  if (json) return TableFormat::kJson;
+  if (csv) return TableFormat::kCsv;
   return TableFormat::kPretty;
-}
-
-ReferenceFlags reference_flags_from_cli(const Cli& cli) {
-  ReferenceFlags flags;
-  const bool all = cli.has_flag("reference");
-  flags.slack = all || cli.has_flag("reference-slack");
-  flags.dvfs = all || cli.has_flag("reference-dvfs");
-  flags.enumeration = all || cli.has_flag("reference-enumeration");
-  return flags;
 }
 
 ServingFlags serving_flags_from_cli(const Cli& cli) {

@@ -137,6 +137,56 @@ TEST(MilpConsolidator, PivotCounterAddsOncePerSolve) {
   EXPECT_EQ(pivots.value() - pivots_before, 2 * first);
 }
 
+TEST(MilpConsolidator, NodeLimitedSolveIsNotProvenOptimal) {
+  // A solve cut off by the node limit may still return its incumbent as a
+  // feasible placement; the consolidator must report it as unproven. The
+  // instance is bench_micro_lp_vs_heuristic's 8-flow row.
+  const FatTree ft(4);
+  Rng rng(508);
+  FlowSet flows;
+  for (int i = 0; i < 8; ++i) {
+    const int src = static_cast<int>(rng.uniform_int(0, 15));
+    int dst = src;
+    while (dst == src) dst = static_cast<int>(rng.uniform_int(0, 15));
+    flows.add(src, dst, rng.uniform(10.0, 120.0),
+              rng.bernoulli(0.3) ? FlowClass::LatencySensitive
+                                 : FlowClass::LatencyTolerant);
+  }
+  const ConsolidationConfig config = fig2_config(2.0);
+
+  const MilpConsolidator exact(&ft);
+  const ConsolidationResult proven = exact.consolidate(flows, config);
+  ASSERT_TRUE(proven.feasible);
+  EXPECT_TRUE(exact.last_proven_optimal());
+  ASSERT_GT(exact.last_node_count(), 4);
+
+  MilpConsolidatorOptions options;
+  options.milp.max_nodes = 4;
+  const MilpConsolidator limited(&ft, options);
+  // Cold, the cut-off search holds no integer solution yet.
+  EXPECT_FALSE(limited.consolidate(flows, config).feasible);
+  EXPECT_FALSE(limited.last_proven_optimal());
+  // Seeded with the greedy placement, it holds an incumbent and returns it
+  // (or something better) as a feasible placement — still unproven.
+  const GreedyConsolidator greedy(&ft);
+  const ConsolidationResult packed = greedy.consolidate(flows, config);
+  ASSERT_TRUE(packed.feasible);
+  WarmStartHint hint;
+  hint.previous_flows = &flows;
+  hint.previous = &packed;
+  const ConsolidationResult cut =
+      limited.consolidate_incremental(ft, flows, config, &hint);
+  ASSERT_TRUE(cut.feasible);
+  EXPECT_FALSE(limited.last_proven_optimal());
+  EXPECT_LE(limited.last_node_count(), 4);
+  EXPECT_GE(cut.active_switches, proven.active_switches);
+
+  // The flag describes the last call: an empty flow set is trivially
+  // optimal.
+  ASSERT_TRUE(limited.consolidate(FlowSet{}, config).feasible);
+  EXPECT_TRUE(limited.last_proven_optimal());
+}
+
 TEST(GreedyConsolidator, Fig2MatchesMilpSwitchCountAtK1) {
   const FatTree ft(4);
   const GreedyConsolidator greedy(&ft);

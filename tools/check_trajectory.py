@@ -10,13 +10,12 @@ hardware noise on shared runners, so it is recorded but never gated):
    determinism surface; a divergent byte means a thread-count-dependent
    code path leaked into the epoch record.
 
-2. **Within-run speedup** — `--perf` points at the stdout of
-   bench_micro_parallel_planner, which measures the fast and reference
-   pipelines in the *same* process on the *same* machine. Their ratio is
-   machine-independent to first order, so it gates: the measured
-   `speedup_vs_reference` must stay within `--max-regression` (default
-   15%) of the newest committed trajectory point, and the bench's own
-   `identical=yes` fingerprint verdict must be present.
+2. **Cold-sweep work** — `--perf` points at the stdout of
+   bench_micro_parallel_planner. Its exact work counters for one serial
+   cold K sweep (K candidates, slack estimates, Monte-Carlo samples) must
+   equal the newest committed point that records them, so a lost
+   placement deduplication fails at any noise level; its `identical=yes`
+   verdict (one plan fingerprint at every thread count) must be present.
 
     python3 tools/check_trajectory.py \
         --trajectory bench/trajectories/BENCH_7.json \
@@ -49,39 +48,31 @@ def gate_jsonl(paths):
     return True
 
 
-def committed_speedup(trajectory):
-    points = [p for p in trajectory.get("trajectory", [])
-              if "speedup_vs_reference" in p]
-    if not points:
-        raise SystemExit("[trajectory] committed trajectory has no "
-                         "speedup_vs_reference point to gate against")
-    return points[-1]["speedup_vs_reference"], points[-1].get("label", "?")
+SWEEP_WORK = ("k_candidates", "slack_estimates", "slack_samples")
 
 
-def gate_perf(perf_path, trajectory, max_regression):
+def gate_perf(perf_path, trajectory):
     text = Path(perf_path).read_text()
-    ok = True
-    if not re.search(r"^fingerprint fast=([0-9a-f]{16}) reference=\1 "
-                     r"identical=yes$", text, re.M):
-        print("[trajectory] FAIL: no matching 'identical=yes' fingerprint "
-              "line in perf output", file=sys.stderr)
-        ok = False
-    m = re.search(r"serial cold sweep: reference ([0-9.]+) ms, "
-                  r"fast ([0-9.]+) ms \(([0-9.]+)x\)", text)
-    if not m:
-        print("[trajectory] FAIL: no 'serial cold sweep' line in perf "
-              "output", file=sys.stderr)
+    ok = bool(re.search(r"^fingerprint [0-9a-f]{16} identical=yes$", text,
+                        re.M))
+    if not ok:
+        print("[trajectory] FAIL: no 'fingerprint ... identical=yes' line "
+              "in perf output", file=sys.stderr)
+    m = re.search(r"^serial cold sweep work: k_candidates=(\d+) "
+                  r"slack_estimates=(\d+) slack_samples=(\d+)$", text, re.M)
+    points = [p for p in trajectory.get("trajectory", [])
+              if all(key in p for key in SWEEP_WORK)]
+    if not (m and points):
+        print("[trajectory] FAIL: no 'serial cold sweep work' line in perf "
+              "output, or no committed point to gate it", file=sys.stderr)
         return False
-    measured = float(m.group(3))
-    committed, label = committed_speedup(trajectory)
-    floor = committed * (1.0 - max_regression)
-    print(f"[trajectory] fast-vs-reference speedup: measured "
-          f"{measured:.2f}x, committed {committed:.2f}x ({label}), "
-          f"floor {floor:.2f}x at {max_regression:.0%} tolerance")
-    if measured < floor:
-        print(f"[trajectory] FAIL: speedup {measured:.2f}x regressed more "
-              f"than {max_regression:.0%} below committed "
-              f"{committed:.2f}x", file=sys.stderr)
+    measured = dict(zip(SWEEP_WORK, map(int, m.groups())))
+    committed = {key: points[-1][key] for key in SWEEP_WORK}
+    print(f"[trajectory] cold-sweep work: measured {measured}, committed "
+          f"{committed} ({points[-1].get('label', '?')})")
+    if measured != committed:
+        print("[trajectory] FAIL: cold-sweep work counters differ from the "
+              "committed point", file=sys.stderr)
         ok = False
     return ok
 
@@ -305,12 +296,12 @@ def main():
                         help="committed bench/trajectories/BENCH_N.json")
     parser.add_argument("--perf", default=None,
                         help="bench_micro_parallel_planner stdout to gate "
-                             "the fast-vs-reference speedup")
+                             "the cold-sweep work counters")
     parser.add_argument("--jsonl", nargs="+", default=[],
                         help="epoch-log files that must be byte-identical")
     parser.add_argument("--max-regression", type=float, default=0.15,
-                        help="allowed fractional speedup regression "
-                             "(default 0.15)")
+                        help="allowed fractional regression of the serving "
+                             "throughput and trough saving (default 0.15)")
     parser.add_argument("--hierarchy", default=None,
                         help="bench_ablation_hierarchy stdout to gate the "
                              "cross-thread fingerprint, power gap, and "
@@ -347,7 +338,7 @@ def main():
         raise SystemExit("[trajectory] --jsonl needs at least two files "
                          "to compare")
     if args.perf:
-        ok = gate_perf(args.perf, trajectory, args.max_regression) and ok
+        ok = gate_perf(args.perf, trajectory) and ok
     if args.hierarchy:
         ok = gate_hierarchy(args.hierarchy, args.max_power_ratio,
                             args.max_flowpath_ratio) and ok
