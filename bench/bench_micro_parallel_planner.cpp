@@ -121,8 +121,8 @@ int main(int argc, char** argv) {
   request.background = &background;
   request.utilization = 0.3;
 
-  Table table({"threads", "best_ms", "speedup", "K", "total_W", "fingerprint",
-               "plan_identical"});
+  Table table({"threads", "runtime_threads", "best_ms", "speedup", "K",
+               "total_W", "fingerprint", "plan_identical"});
   table.set_precision(2);
 
   double serial_ms = 0.0;
@@ -137,8 +137,12 @@ int main(int argc, char** argv) {
 
   for (const int threads : {1, 2, 4}) {
     JointOptimizerConfig cfg = config;
+    cfg.runtime = scn.runtime();
     cfg.runtime.threads = threads;
-    const JointOptimizer optimizer = scn.optimizer(cfg);
+    // Built directly: Scenario::optimizer() gives a 1-thread config the
+    // CLI runtime, which would run the serial row on --threads workers.
+    const JointOptimizer optimizer(&scn.topology(), &scn.service_model(),
+                                   &scn.power_model(), cfg);
 
     if (threads == 1) {
       // The counters are logical work, identical for any worker count.
@@ -159,6 +163,7 @@ int main(int argc, char** argv) {
     const bool identical = fp == serial_fp;
     all_identical = all_identical && identical;
     table.add_row({static_cast<long long>(threads),
+                   static_cast<long long>(optimizer.config().runtime.threads),
                    no_timing ? 0.0 : best_ms,
                    no_timing ? 0.0 : serial_ms / best_ms, plan.k,
                    plan.total_power, strformat("%016llx",

@@ -79,6 +79,8 @@ ServingHarness::ServingHarness(const Topology* topo,
   }
   request_path_.resize(static_cast<std::size_t>(hosts));
   reply_path_.resize(static_cast<std::size_t>(hosts));
+  request_hops_.resize(static_cast<std::size_t>(hosts));
+  reply_hops_.resize(static_cast<std::size_t>(hosts));
 }
 
 ServingHarness::~ServingHarness() = default;
@@ -201,8 +203,10 @@ void ServingHarness::adopt_plan_paths() {
   if (changed && config_.reconfig_penalty > 0.0) {
     // Reprogramming forwarding rules under traffic: every query currently
     // in flight straddles the reconfiguration and pays the penalty once.
-    for (auto& [id, pending] : inflight_) {
-      if (pending.penalized) continue;
+    for (std::uint32_t slot = 0; slot < inflight_.capacity(); ++slot) {
+      PendingQuery& pending = inflight_[slot];
+      // A freed slot keeps its finished query, which has no reply left.
+      if (pending.outstanding == 0 || pending.penalized) continue;
       pending.penalty += config_.reconfig_penalty;
       pending.penalized = true;
       ++window_.transition_penalized;
@@ -211,7 +215,16 @@ void ServingHarness::adopt_plan_paths() {
   }
   // New epoch: queries issued from here on may be penalized by the *next*
   // transition.
-  for (auto& [id, pending] : inflight_) pending.penalized = false;
+  for (std::uint32_t slot = 0; slot < inflight_.capacity(); ++slot) {
+    inflight_[slot].penalized = false;
+  }
+}
+
+void ServingHarness::prepare_routes() {
+  for (std::size_t h = 0; h < request_path_.size(); ++h) {
+    latency_->prepare(request_path_[h], &request_hops_[h]);
+    latency_->prepare(reply_path_[h], &reply_hops_[h]);
+  }
 }
 
 void ServingHarness::begin_epoch() {
@@ -274,6 +287,7 @@ void ServingHarness::begin_epoch() {
   latency_ =
       std::make_unique<PathLatencyEstimator>(&offered_load_,
                                              LinkLatencyModel{});
+  prepare_routes();
   network_power_w_ = report.network_power;
   emit_schedule_epoch();
 
@@ -335,14 +349,13 @@ void ServingHarness::on_arrival() {
 
 void ServingHarness::fan_out(SimTime arrived) {
   const SimTime now = events_.now();
-  const RequestId query = next_query_++;
   const int hosts = topo_->num_hosts();
   PendingQuery pending;
   pending.arrived = arrived;
   pending.issued = now;
   pending.outstanding = hosts - 1;
   pending.epoch_issued = epoch_index_;
-  inflight_[query] = pending;
+  const std::uint32_t query = inflight_.put(pending);
 
   const SimTime constraint = config_.epoch.joint.latency_constraint;
   const SimTime server_budget =
@@ -355,24 +368,29 @@ void ServingHarness::fan_out(SimTime arrived) {
   (void)routing_->choose_aggregator(admission_context(now));
   for (int h = 0; h < hosts; ++h) {
     if (h == config_.aggregator_host) continue;
-    const SimTime net_req =
-        latency_->sample_latency(request_path_[static_cast<std::size_t>(h)],
-                                 sim_rng_);
-    ServerRequest request;
-    request.meta.id = next_subrequest_++;
-    request.tag = static_cast<std::int64_t>(query);
-    request.net_request_latency = net_req;
-    request.work = std::max(1.0, service_model_->work().sample(sim_rng_));
+    const SimTime net_req = latency_->sample_prepared(
+        request_hops_[static_cast<std::size_t>(h)], sim_rng_);
+    InTransitRequest transit;
+    transit.isn_host = h;
+    transit.server_budget = server_budget;
+    transit.request_budget = request_budget;
+    transit.request.meta.id = next_subrequest_++;
+    transit.request.tag = static_cast<std::int64_t>(query);
+    transit.request.net_request_latency = net_req;
+    transit.request.work =
+        std::max(1.0, service_model_->work().sample(sim_rng_));
 
-    events_.schedule_in(net_req, [this, h, request, server_budget,
-                                  request_budget]() mutable {
+    const std::uint32_t slot = in_transit_.put(transit);
+    events_.schedule_in(net_req, [this, slot] {
+      InTransitRequest arrived = in_transit_.take(slot);
+      ServerRequest& request = arrived.request;
       const SimTime arrival = events_.now();
       request.meta.arrival = arrival;
-      request.meta.deadline_server = arrival + server_budget;
+      request.meta.deadline_server = arrival + arrived.server_budget;
       const SimTime slack =
-          std::max(0.0, request_budget - request.net_request_latency);
+          std::max(0.0, arrived.request_budget - request.net_request_latency);
       request.meta.deadline_with_slack = request.meta.deadline_server + slack;
-      servers_[static_cast<std::size_t>(h)]->submit(request);
+      servers_[static_cast<std::size_t>(arrived.isn_host)]->submit(request);
     });
   }
 }
@@ -408,21 +426,20 @@ SimTime ServingHarness::reply_transmission_time() const {
 void ServingHarness::on_subquery_complete(int isn_host,
                                           const ServerCompletion& completion) {
   const SimTime now = completion.completed_at;
-  SimTime net_rep = latency_->sample_latency(
-      reply_path_[static_cast<std::size_t>(isn_host)], sim_rng_);
+  SimTime net_rep = latency_->sample_prepared(
+      reply_hops_[static_cast<std::size_t>(isn_host)], sim_rng_);
   if (config_.model_incast) {
     const SimTime tx = reply_transmission_time();
     const SimTime start = std::max(now + net_rep, agg_downlink_busy_until_);
     agg_downlink_busy_until_ = start + tx;
     net_rep = (start + tx) - now;
   }
-  const RequestId query = static_cast<RequestId>(completion.request.tag);
+  const auto query = static_cast<std::uint32_t>(completion.request.tag);
   events_.schedule(now + net_rep, [this, query] { finish_subquery(query); });
 }
 
-void ServingHarness::finish_subquery(RequestId query) {
-  const auto entry = inflight_.find(query);
-  if (entry == inflight_.end()) return;
+void ServingHarness::finish_subquery(std::uint32_t query_slot) {
+  PendingQuery& query = inflight_[query_slot];
   const SimTime now = events_.now();
 
   // The SLA object is the per-sub-request tail (the paper's violation
@@ -431,15 +448,15 @@ void ServingHarness::finish_subquery(RequestId query) {
   // query-level max-over-fan-out only feeds the latency percentiles.
   ++window_.subqueries;
   ++report_.subqueries_completed;
-  if (now - entry->second.issued > config_.epoch.joint.latency_constraint) {
+  if (now - query.issued > config_.epoch.joint.latency_constraint) {
     ++window_.sla_misses;
     ++report_.sla_misses;
   }
 
-  if (--entry->second.outstanding > 0) return;
+  if (--query.outstanding > 0) return;
 
-  const SimTime e2e = (now - entry->second.arrived) + entry->second.penalty;
-  inflight_.erase(entry);
+  const SimTime e2e = (now - query.arrived) + query.penalty;
+  inflight_.erase(query_slot);
 
   ++window_.completed;
   ++report_.completed;
@@ -574,6 +591,7 @@ ServingReport ServingHarness::run() {
   serve_shed.add(static_cast<std::uint64_t>(report_.shed));
   serve_dropped.add(static_cast<std::uint64_t>(report_.dropped));
   serve_completed.add(static_cast<std::uint64_t>(report_.completed));
+  add_des_counters(events_, servers_);
   return report_;
 }
 

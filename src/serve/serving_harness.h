@@ -36,7 +36,6 @@
 #include <deque>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/epoch_controller.h"
@@ -49,6 +48,7 @@
 #include "sim/event_queue.h"
 #include "sim/metrics.h"
 #include "sim/server.h"
+#include "sim/slab.h"
 
 namespace eprons {
 
@@ -187,17 +187,28 @@ class ServingHarness {
   struct QueuedArrival {
     SimTime enqueued = 0.0;
   };
+  /// A sub-request on its way to its ISN (parked in in_transit_ while the
+  /// request-leg event is pending), with the budgets of its fan-out.
+  struct InTransitRequest {
+    ServerRequest request;
+    int isn_host = 0;
+    SimTime server_budget = 0.0;
+    SimTime request_budget = 0.0;
+  };
 
   void init_temporal(Rng& timed_rng);
   void emit_schedule_epoch();
   void begin_epoch();
   void adopt_plan_paths();
+  /// Rebuilds request_hops_/reply_hops_ from the current paths and
+  /// latency_; call whenever a path or the offered load changes.
+  void prepare_routes();
   void schedule_next_arrival();
   void on_arrival();
   void fan_out(SimTime arrived);
   void drain_dispatch_queue();
   void on_subquery_complete(int isn_host, const ServerCompletion& completion);
-  void finish_subquery(RequestId query);
+  void finish_subquery(std::uint32_t query_slot);
   void emit_window(SimTime window_end);
   /// Accrues (static + network) energy at the current power level up to
   /// `now` — call before the network power changes and before windows.
@@ -233,16 +244,21 @@ class ServingHarness {
   std::vector<Path> reply_path_;
   LinkUtilization offered_load_;
   std::unique_ptr<PathLatencyEstimator> latency_;
+  // Sampling constants of request_path_/reply_path_ under offered_load_.
+  std::vector<std::vector<PreparedHop>> request_hops_;  // by host id
+  std::vector<std::vector<PreparedHop>> reply_hops_;
   Power network_power_w_ = 0.0;
   int epoch_index_ = -1;
 
   double sustainable_rate_qps_ = 0.0;
 
   // Serving state.
-  RequestId next_query_ = 0;
   RequestId next_subrequest_ = 0;
-  std::unordered_map<RequestId, PendingQuery> inflight_;
+  // Queries fanned out and not yet complete; a sub-request's tag is its
+  // query's slot here.
+  Slab<PendingQuery> inflight_;
   std::deque<QueuedArrival> dispatch_queue_;
+  Slab<InTransitRequest> in_transit_;
   SimTime agg_downlink_busy_until_ = 0.0;
 
   // Window + total accounting.

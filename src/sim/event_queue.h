@@ -3,12 +3,22 @@
 // Events at equal timestamps fire in scheduling order (a monotonically
 // increasing sequence number breaks ties), which keeps runs deterministic
 // for a fixed seed — a hard requirement for reproducible experiments.
+//
+// Layout: a 4-ary min-heap of plain {when, seq, slot} keys orders the
+// events; the callbacks themselves live in a slab of reused std::function
+// slots (with a free list), so sifting moves 24-byte keys instead of
+// closures. A closure that is trivially copyable and at most 16 bytes
+// (e.g. `this` plus one 64-bit id) is stored inside its std::function, so
+// once the heap, the slab and the free list have reached their high-water
+// sizes, scheduling and dispatching such events allocates nothing.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <vector>
 
+#include "sim/slab.h"
 #include "util/types.h"
 
 namespace eprons {
@@ -38,24 +48,43 @@ class EventQueue {
   /// Runs everything (use only with workloads that naturally terminate).
   void run_all();
 
+  // Deterministic work counters (functions of the event sequence alone).
+  /// Events dispatched so far.
+  std::uint64_t events_executed() const { return executed_; }
+  /// Dispatched events their owner reported as stale (a completion whose
+  /// epoch a later DVFS decision superseded).
+  std::uint64_t events_superseded() const { return superseded_; }
+  /// Largest number of simultaneously pending events.
+  std::size_t heap_high_water() const { return high_water_; }
+  /// Called by an event's owner when the event turned out to be stale.
+  void count_superseded() { ++superseded_; }
+
  private:
-  struct Entry {
-    SimTime when;
+  struct Key {
+    SimTime when;  // never negative, never -0.0 (see schedule())
     std::uint64_t seq;
-    Callback callback;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
+    std::uint32_t slot;  // callback's slot in callbacks_
+
+    // (when, seq) as one 128-bit integer: the bits of a non-negative
+    // double order like its value, so one integer compare (which the
+    // compiler keeps branch-free) orders two keys lexicographically.
+    unsigned __int128 order() const {
+      return (static_cast<unsigned __int128>(
+                  std::bit_cast<std::uint64_t>(when))
+              << 64) |
+             seq;
     }
   };
+  void sift_up(std::size_t hole, Key key);
+  void sift_down(Key key);
 
-  // Min-heap on (when, seq) maintained with std::push_heap/pop_heap, so
-  // step() can move the earliest entry out instead of copying its closure.
-  std::vector<Entry> heap_;
+  std::vector<Key> heap_;  // 4-ary min-heap on (when, seq)
+  Slab<Callback> callbacks_;
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;
+  std::uint64_t executed_ = 0;
+  std::uint64_t superseded_ = 0;
+  std::size_t high_water_ = 0;
 };
 
 }  // namespace eprons

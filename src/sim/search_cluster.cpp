@@ -56,9 +56,12 @@ SearchCluster::SearchCluster(const SearchClusterConfig& config,
         &events_, inputs_.service_model, inputs_.power_model, factory,
         handler));
   }
+  request_hops_.resize(static_cast<std::size_t>(hosts));
+  reply_hops_.resize(static_cast<std::size_t>(hosts));
+  prepare_routes();
 }
 
-Path SearchCluster::path_for(FlowId flow) const {
+const Path& SearchCluster::path_for(FlowId flow) const {
   const auto& paths = inputs_.placement->flow_paths;
   if (flow < 0 || static_cast<std::size_t>(flow) >= paths.size() ||
       paths[static_cast<std::size_t>(flow)].size() < 2) {
@@ -67,17 +70,48 @@ Path SearchCluster::path_for(FlowId flow) const {
   return paths[static_cast<std::size_t>(flow)];
 }
 
-const Path& SearchCluster::effective_path(FlowId flow) const {
+const Path* SearchCluster::effective_path(FlowId flow) const {
   if (faults_) {
     const auto it = path_override_.find(flow);
-    if (it != path_override_.end()) return it->second;
+    if (it != path_override_.end()) return &it->second;
   }
   const auto& paths = inputs_.placement->flow_paths;
   if (flow < 0 || static_cast<std::size_t>(flow) >= paths.size() ||
       paths[static_cast<std::size_t>(flow)].size() < 2) {
+    return nullptr;
+  }
+  return &paths[static_cast<std::size_t>(flow)];
+}
+
+void SearchCluster::prepare_routes() {
+  auto prepare = [&](FlowId flow, std::vector<PreparedHop>* hops) {
+    const Path* path = effective_path(flow);
+    if (path != nullptr) {
+      latency_.prepare(*path, hops);
+    } else {
+      hops->clear();
+    }
+  };
+  for (int h = 0; h < inputs_.topo->num_hosts(); ++h) {
+    if (h == config_.aggregator_host) continue;
+    const auto slot = static_cast<std::size_t>(h);
+    prepare(inputs_.request_flow[slot], &request_hops_[slot]);
+    prepare(inputs_.reply_flow[slot], &reply_hops_[slot]);
+  }
+}
+
+SimTime SearchCluster::sample_route(const std::vector<PreparedHop>& hops) {
+  // A routed path has at least one hop, so no hops means no route.
+  if (hops.empty()) {
     throw std::invalid_argument("query flow has no routed path");
   }
-  return paths[static_cast<std::size_t>(flow)];
+  return latency_.sample_prepared(hops, rng_);
+}
+
+SimTime SearchCluster::request_budget() const {
+  const SimTime network_budget =
+      config_.latency_constraint - config_.server_budget;
+  return network_budget * config_.request_budget_fraction;
 }
 
 SimTime SearchCluster::drop_penalty() const {
@@ -121,6 +155,7 @@ void SearchCluster::recompute_query_paths() {
     update(inputs_.request_flow[slot], agg, h, request_down_, slot);
     update(inputs_.reply_flow[slot], h, agg, reply_down_, slot);
   }
+  prepare_routes();
 }
 
 void SearchCluster::schedule_next_fault() {
@@ -151,14 +186,8 @@ void SearchCluster::issue_query() {
     return;
   }
   const SimTime now = events_.now();
-  const RequestId query = next_query_++;
   const int hosts = inputs_.topo->num_hosts();
-  inflight_[query] = PendingQuery{now, hosts - 1, now};
-
-  const SimTime network_budget =
-      config_.latency_constraint - config_.server_budget;
-  const SimTime request_budget =
-      network_budget * config_.request_budget_fraction;
+  const std::uint32_t query = inflight_.put(PendingQuery{now, hosts - 1, now});
 
   for (int h = 0; h < hosts; ++h) {
     if (h == config_.aggregator_host) continue;
@@ -171,32 +200,31 @@ void SearchCluster::issue_query() {
       });
       continue;
     }
-    const Path request_path =
-        effective_path(inputs_.request_flow[static_cast<std::size_t>(h)]);
-    const SimTime net_req = latency_.sample_latency(request_path, rng_);
+    const SimTime net_req =
+        sample_route(request_hops_[static_cast<std::size_t>(h)]);
 
-    ServerRequest request;
-    request.meta.id = next_subrequest_++;
-    request.tag = query;
-    request.net_request_latency = net_req;
-    request.work = std::max(1.0, inputs_.service_model->work().sample(rng_));
+    InTransitRequest transit;
+    transit.isn_host = h;
+    transit.request.meta.id = next_subrequest_++;
+    transit.request.tag = query;
+    transit.request.net_request_latency = net_req;
+    transit.request.work =
+        std::max(1.0, inputs_.service_model->work().sample(rng_));
 
-    events_.schedule_in(net_req, [this, h, request]() mutable {
+    const std::uint32_t slot = requests_.put(transit);
+    events_.schedule_in(net_req, [this, slot] {
+      InTransitRequest arrived = requests_.take(slot);
+      ServerRequest& request = arrived.request;
       const SimTime arrival = events_.now();
-      const SimTime network_budget_total =
-          config_.latency_constraint - config_.server_budget;
-      const SimTime req_budget =
-          network_budget_total * config_.request_budget_fraction;
       request.meta.arrival = arrival;
       request.meta.deadline_server = arrival + config_.server_budget;
       // Latency monitor: only unused *request* budget is donated as slack.
       const SimTime slack =
-          std::max(0.0, req_budget - request.net_request_latency);
+          std::max(0.0, request_budget() - request.net_request_latency);
       request.meta.deadline_with_slack =
           request.meta.deadline_server + slack;
-      servers_[static_cast<std::size_t>(h)]->submit(request);
+      servers_[static_cast<std::size_t>(arrived.isn_host)]->submit(request);
     });
-    (void)request_budget;
   }
 }
 
@@ -220,15 +248,15 @@ void SearchCluster::on_subquery_complete(int isn_host,
   if (faults_ && reply_down_[static_cast<std::size_t>(isn_host)]) {
     // The reply leg is severed: the aggregator times the sub-query out.
     ++subqueries_dropped_;
-    const RequestId dropped_query = completion.request.tag;
+    const auto dropped_query =
+        static_cast<std::uint32_t>(completion.request.tag);
     events_.schedule(now + drop_penalty(), [this, dropped_query] {
       complete_subquery(dropped_query, 0.0, 0.0, /*dropped=*/true);
     });
     return;
   }
-  const Path reply_path =
-      effective_path(inputs_.reply_flow[static_cast<std::size_t>(isn_host)]);
-  SimTime net_rep = latency_.sample_latency(reply_path, rng_);
+  SimTime net_rep =
+      sample_route(reply_hops_[static_cast<std::size_t>(isn_host)]);
   if (config_.model_incast) {
     // The reply queues behind other replies converging on the aggregator's
     // downlink (partition-aggregate incast), then serializes.
@@ -240,7 +268,7 @@ void SearchCluster::on_subquery_complete(int isn_host,
   }
   const SimTime reply_arrival = now + net_rep;
 
-  const RequestId query = completion.request.tag;
+  const auto query = static_cast<std::uint32_t>(completion.request.tag);
   const SimTime server_time = now - completion.request.meta.arrival;
   const SimTime net_total = completion.request.net_request_latency + net_rep;
 
@@ -266,21 +294,23 @@ void SearchCluster::on_subquery_complete(int isn_host,
 
   // Feedback for TimeTrader-style policies: this sub-request's end-to-end
   // latency vs the end-to-end constraint.
-  const auto it = inflight_.find(query);
-  if (it != inflight_.end()) {
-    const SimTime subquery_e2e = reply_arrival - it->second.issued;
-    servers_[static_cast<std::size_t>(isn_host)]->report_latency(
-        servers_[static_cast<std::size_t>(isn_host)]->last_completion_core(),
-        now, subquery_e2e, config_.latency_constraint);
-  }
+  const SimTime subquery_e2e = reply_arrival - inflight_[query].issued;
+  servers_[static_cast<std::size_t>(isn_host)]->report_latency(
+      servers_[static_cast<std::size_t>(isn_host)]->last_completion_core(),
+      now, subquery_e2e, config_.latency_constraint);
 
-  events_.schedule(reply_arrival, [this, query, server_time, net_total] {
-    complete_subquery(query, net_total, server_time, /*dropped=*/false);
+  const std::uint32_t slot =
+      replies_.put(InTransitReply{query, net_total, server_time});
+  events_.schedule(reply_arrival, [this, slot] {
+    const InTransitReply reply = replies_.take(slot);
+    complete_subquery(reply.query, reply.net_total, reply.server_time,
+                      /*dropped=*/false);
   });
 }
 
-void SearchCluster::complete_subquery(RequestId query, SimTime net_total,
-                                      SimTime server_time, bool dropped) {
+void SearchCluster::complete_subquery(std::uint32_t query_slot,
+                                      SimTime net_total, SimTime server_time,
+                                      bool dropped) {
   const SimTime now2 = events_.now();
   const bool measured = now2 >= effective_warmup();
   if (measured && !dropped) {
@@ -288,10 +318,9 @@ void SearchCluster::complete_subquery(RequestId query, SimTime net_total,
     server_latency_.add(server_time);
     ++subqueries_done_;
   }
-  const auto entry = inflight_.find(query);
-  if (entry == inflight_.end()) return;
+  PendingQuery& query = inflight_[query_slot];
   if (measured) {
-    const SimTime sub_e2e = now2 - entry->second.issued;
+    const SimTime sub_e2e = now2 - query.issued;
     subquery_latency_.add(sub_e2e);
     if (sub_e2e > config_.latency_constraint) {
       ++subquery_misses_;
@@ -302,15 +331,15 @@ void SearchCluster::complete_subquery(RequestId query, SimTime net_total,
       }
     }
   }
-  entry->second.last_reply = now2;
-  if (--entry->second.outstanding == 0) {
-    const SimTime e2e = now2 - entry->second.issued;
-    if (entry->second.issued >= effective_warmup()) {
+  query.last_reply = now2;
+  if (--query.outstanding == 0) {
+    const SimTime e2e = now2 - query.issued;
+    if (query.issued >= effective_warmup()) {
       query_latency_.add(e2e);
       ++queries_done_;
       if (e2e > config_.latency_constraint) ++query_misses_;
     }
-    inflight_.erase(entry);
+    inflight_.erase(query_slot);
   }
 }
 
@@ -386,6 +415,7 @@ ClusterMetrics SearchCluster::run() {
   sim_subqueries.add(static_cast<std::uint64_t>(subqueries_done_));
   sim_query_misses.add(static_cast<std::uint64_t>(query_misses_));
   sim_subquery_misses.add(static_cast<std::uint64_t>(subquery_misses_));
+  add_des_counters(events_, servers_);
   if (faults_) {
     static obs::Counter& sim_rerouted =
         obs::metrics().counter("fault.flows_rerouted");

@@ -33,6 +33,7 @@
 #include "sim/event_queue.h"
 #include "sim/metrics.h"
 #include "sim/server.h"
+#include "sim/slab.h"
 #include "topo/topology.h"
 #include "util/rng.h"
 
@@ -137,22 +138,42 @@ class SearchCluster {
     int outstanding = 0;
     SimTime last_reply = 0.0;
   };
+  /// A sub-request on its way to its ISN (parked in requests_ while the
+  /// request-leg event is pending).
+  struct InTransitRequest {
+    ServerRequest request;
+    int isn_host = 0;
+  };
+  /// A reply on its way to the aggregator (parked in replies_).
+  struct InTransitReply {
+    std::uint32_t query = 0;  // slot in inflight_
+    SimTime net_total = 0.0;
+    SimTime server_time = 0.0;
+  };
 
   void issue_query();
   void schedule_next_arrival();
   void on_subquery_complete(int isn_host, const ServerCompletion& completion);
-  Path path_for(FlowId flow) const;
+  const Path& path_for(FlowId flow) const;
   SimTime effective_warmup() const;
 
   /// Reply-arrival bookkeeping shared by real replies and fault drops.
-  void complete_subquery(RequestId query, SimTime net_total,
+  void complete_subquery(std::uint32_t query_slot, SimTime net_total,
                          SimTime server_time, bool dropped);
-  /// The flow's current path: its fault-reroute override, else the plan's.
-  const Path& effective_path(FlowId flow) const;
+  /// The flow's current path (its fault-reroute override, else the
+  /// plan's), or null when the plan left the flow unrouted.
+  const Path* effective_path(FlowId flow) const;
   /// Re-derives per-flow routes/down flags from the current overlay state.
   void recompute_query_paths();
+  /// Rebuilds the prepared hops of every query route from the effective
+  /// paths; call whenever a path changes.
+  void prepare_routes();
+  /// Draws one leg's network latency from its prepared hops.
+  SimTime sample_route(const std::vector<PreparedHop>& hops);
   void schedule_next_fault();
   SimTime drop_penalty() const;
+  /// Network budget share of the request leg (the slack donor).
+  SimTime request_budget() const;
 
   /// Serialization delay of one reply crossing the aggregator's edge
   /// downlink, accounting for residual capacity after background load.
@@ -164,11 +185,18 @@ class SearchCluster {
   Rng rng_;
   PathLatencyEstimator latency_;
   std::vector<std::unique_ptr<SimServer>> servers_;  // index by host id
+  // Per-host sampling constants of the request (aggregator -> ISN) and
+  // reply (ISN -> aggregator) routes; empty for an unrouted flow.
+  std::vector<std::vector<PreparedHop>> request_hops_;
+  std::vector<std::vector<PreparedHop>> reply_hops_;
+  Slab<InTransitRequest> requests_;
+  Slab<InTransitReply> replies_;
 
   double arrival_rate_ = 0.0;  // queries per us
-  RequestId next_query_ = 0;
   RequestId next_subrequest_ = 0;
-  std::unordered_map<RequestId, PendingQuery> inflight_;
+  // Queries fanned out and not yet complete; a sub-request's tag is its
+  // query's slot here.
+  Slab<PendingQuery> inflight_;
   std::size_t queries_overflowed_ = 0;
 
   // Fault replay state (unused when inputs.fault_timeline is null).

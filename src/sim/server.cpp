@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <stdexcept>
 
 #include "obs/telemetry.h"
 
@@ -16,6 +17,9 @@ SimServer::SimServer(EventQueue* events, const ServiceModel* service_model,
       service_model_(service_model),
       power_model_(power_model),
       on_complete_(std::move(on_complete)) {
+  if (power_model->num_cores() >= (1 << kCoreBits)) {
+    throw std::invalid_argument("SimServer supports fewer than 65536 cores");
+  }
   cores_.reserve(static_cast<std::size_t>(power_model->num_cores()));
   for (int i = 0; i < power_model->num_cores(); ++i) {
     cores_.emplace_back(power_model);
@@ -47,13 +51,6 @@ void SimServer::advance_progress(Core& core, SimTime now) {
   core.last_progress = now;
 }
 
-std::vector<QueuedRequest> SimServer::snapshot(const Core& core) const {
-  std::vector<QueuedRequest> view;
-  view.reserve(core.queue.size());
-  for (const ServerRequest& r : core.queue) view.push_back(r.meta);
-  return view;
-}
-
 void SimServer::reselect_and_schedule(int core_index, bool at_departure) {
   Core& core = cores_[static_cast<std::size_t>(core_index)];
   const SimTime now = events_->now();
@@ -66,35 +63,51 @@ void SimServer::reselect_and_schedule(int core_index, bool at_departure) {
   }
 
   // EDF policies reorder the *waiting* requests; the in-service head stays.
-  if (core.policy->reorder_edf() && core.queue.size() > 2) {
-    std::stable_sort(core.queue.begin() + 1, core.queue.end(),
-                     [](const ServerRequest& a, const ServerRequest& b) {
-                       return a.meta.deadline_with_slack <
-                              b.meta.deadline_with_slack;
-                     });
+  // A stable insertion sort: it yields exactly std::stable_sort's order,
+  // allocates nothing, and is linear here, because the waiting part was
+  // sorted at the previous decision and an arrival appends one request.
+  if (core.policy->reorder_edf()) {
+    for (std::size_t i = 2; i < core.queue.size(); ++i) {
+      if (!(core.queue[i].meta.deadline_with_slack <
+            core.queue[i - 1].meta.deadline_with_slack)) {
+        continue;
+      }
+      ServerRequest moving = core.queue[i];
+      std::size_t j = i;
+      do {
+        core.queue[j] = core.queue[j - 1];
+        --j;
+      } while (j > 1 && moving.meta.deadline_with_slack <
+                            core.queue[j - 1].meta.deadline_with_slack);
+      core.queue[j] = moving;
+    }
   }
 
-  const std::vector<QueuedRequest> view = snapshot(core);
+  view_.clear();
+  for (const ServerRequest& r : core.queue) view_.push_back(r.meta);
   const Work done = at_departure ? 0.0 : core.done;
   core.freq = core.policy->select_frequency(
-      now, std::span<const QueuedRequest>(view), done);
+      now, std::span<const QueuedRequest>(view_), done);
   core.meter.set_state(now, /*active=*/true, core.freq);
-  // DES hot path: a single wait-free relaxed add per DVFS decision.
-  static obs::Counter& freq_selections =
-      obs::metrics().counter("sim.dvfs_selections");
-  freq_selections.add();
+  ++dvfs_selections_;
 
   const Work remaining = core.queue.front().work - core.done;
   const SimTime finish =
       now + service_model_->service_time(std::max(remaining, 0.0), core.freq);
-  const std::uint64_t epoch = core.epoch;
-  events_->schedule(finish,
-                    [this, core_index, epoch] { complete_head(core_index, epoch); });
+  const std::uint64_t token = (core.epoch << kCoreBits) |
+                              static_cast<std::uint64_t>(core_index);
+  events_->schedule(finish, [this, token] { complete_head(token); });
 }
 
-void SimServer::complete_head(int core_index, std::uint64_t epoch) {
+void SimServer::complete_head(std::uint64_t token) {
+  const auto core_index =
+      static_cast<int>(token & ((std::uint64_t{1} << kCoreBits) - 1));
   Core& core = cores_[static_cast<std::size_t>(core_index)];
-  if (core.epoch != epoch) return;  // superseded by a newer schedule
+  constexpr std::uint64_t kEpochMask = ~std::uint64_t{0} >> kCoreBits;
+  if ((core.epoch & kEpochMask) != token >> kCoreBits) {
+    events_->count_superseded();  // superseded by a newer schedule
+    return;
+  }
   const SimTime now = events_->now();
   advance_progress(core, now);
   assert(!core.queue.empty());
@@ -172,6 +185,20 @@ double SimServer::average_core_utilization() const {
     }
   }
   return counted == 0 ? 0.0 : total / counted;
+}
+
+void add_des_counters(const EventQueue& events,
+                      const std::vector<std::unique_ptr<SimServer>>& servers) {
+  obs::MetricsRegistry& metrics = obs::metrics();
+  metrics.counter("sim.events_executed").add(events.events_executed());
+  metrics.counter("sim.events_superseded").add(events.events_superseded());
+  metrics.counter("sim.event_heap_high_water")
+      .add(static_cast<std::uint64_t>(events.heap_high_water()));
+  std::uint64_t decisions = 0;
+  for (const auto& server : servers) {
+    if (server) decisions += server->dvfs_selections();
+  }
+  metrics.counter("sim.dvfs_selections").add(decisions);
 }
 
 }  // namespace eprons

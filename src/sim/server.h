@@ -77,6 +77,9 @@ class SimServer {
   /// CompletionHandler callback).
   int last_completion_core() const { return last_completion_core_; }
 
+  /// DVFS decisions made so far (one per arrival and departure instant).
+  std::uint64_t dvfs_selections() const { return dvfs_selections_; }
+
  private:
   struct Core {
     std::unique_ptr<DvfsPolicy> policy;
@@ -90,10 +93,15 @@ class SimServer {
     explicit Core(const ServerPowerModel* power) : meter(power) {}
   };
 
+  // A completion event's closure carries one word: the core index in the
+  // low kCoreBits bits and the core's epoch above them, so the closure
+  // (`this` + token) is stored inside its std::function. Epochs are
+  // compared modulo 2^(64 - kCoreBits).
+  static constexpr int kCoreBits = 16;
+
   void advance_progress(Core& core, SimTime now);
   void reselect_and_schedule(int core_index, bool at_departure);
-  void complete_head(int core_index, std::uint64_t epoch);
-  std::vector<QueuedRequest> snapshot(const Core& core) const;
+  void complete_head(std::uint64_t token);
 
   EventQueue* events_;
   const ServiceModel* service_model_;
@@ -101,6 +109,17 @@ class SimServer {
   CompletionHandler on_complete_;
   std::vector<Core> cores_;
   int last_completion_core_ = -1;
+  std::uint64_t dvfs_selections_ = 0;
+  // Policy view of one core's queue, refilled at every DVFS decision (a
+  // member so the hot path reuses its capacity).
+  std::vector<QueuedRequest> view_;
 };
+
+/// Adds one DES run's work counters to the metrics registry, once per run
+/// (never per event, so the event loop stays free of shared atomics):
+/// sim.events_executed, sim.events_superseded, sim.event_heap_high_water
+/// (the sum of each run's high-water mark) and sim.dvfs_selections.
+void add_des_counters(const EventQueue& events,
+                      const std::vector<std::unique_ptr<SimServer>>& servers);
 
 }  // namespace eprons

@@ -363,5 +363,42 @@ TEST(FaultSim, DesFaultReplayDeterministicAndObservable) {
   EXPECT_LE(h.metrics.subquery_miss_rate, a.metrics.subquery_miss_rate + 0.02);
 }
 
+TEST(FaultSim, ReroutedQueriesSampleTheirNewPath) {
+  // The DES draws hop latencies from prepared hops, which must be rebuilt
+  // at every reroute. The pinned counts are those the per-sample path walk
+  // gave on this fault replay (all switches on, so failures reroute as well
+  // as drop); hops left over from a failed path change them.
+  const FatTree topo(4);
+  const ServiceModel model = fault_model();
+  const ServerPowerModel power;
+  FlowGenConfig gen;
+  gen.exclude_host = 0;
+  Rng rng(3);
+  const FlowSet background = make_background_flows(gen, 6, 0.1, 0.1, rng);
+
+  FaultInjectorConfig faults;
+  faults.mtbf = sec(0.4);
+  faults.mttr = sec(0.5);
+  faults.horizon = sec(3.0);
+  faults.seed = 11;
+  const FaultSchedule schedule =
+      generate_fault_schedule(topo.graph(), faults);
+
+  ScenarioConfig scenario;
+  scenario.cluster.policy = "max";
+  scenario.cluster.target_utilization = 0.15;
+  scenario.cluster.warmup = sec(0.5);
+  scenario.cluster.duration = sec(3.0);
+  scenario.fault_timeline = &schedule.timeline;
+  const AggregationPolicies policies(&topo);
+  const auto subnet = policies.policy(0).switch_on;
+
+  const auto r =
+      run_search_scenario(topo, model, power, background, scenario, &subnet);
+  EXPECT_EQ(r.metrics.flows_rerouted, 30u);
+  EXPECT_EQ(r.metrics.subqueries_dropped, 453u);
+  EXPECT_EQ(r.metrics.network_latency.count, 9205u);
+}
+
 }  // namespace
 }  // namespace eprons

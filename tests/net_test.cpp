@@ -2,6 +2,11 @@
 // directed link load accounting, and path latency composition.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "net/link_latency.h"
 #include "net/link_utilization.h"
 #include "net/path_latency.h"
@@ -163,6 +168,59 @@ TEST(PathLatency, SamplesBoundedByMax) {
   Rng rng(47);
   for (int i = 0; i < 1000; ++i) {
     EXPECT_LE(est.sample_latency(path, rng), est.max_latency(path) + 1e-9);
+  }
+}
+
+// The DES draws every request and reply latency through prepared hops; this
+// pins that the prepared sampler is the path sampler bit for bit, RNG
+// stream included, on every branch of the hop model.
+TEST(PathLatency, PreparedSamplerBitIdenticalToPathSampler) {
+  const FatTree ft(4);
+  const Graph& graph = ft.graph();
+  const Path path = ft.all_paths(0, 15)[0];  // 6 hops
+  ASSERT_EQ(path.size(), 7u);
+  const Bandwidth capacity =
+      graph.link(graph.find_link(path[0], path[1])).capacity;
+  // Per hop (utilization, bursty utilization): utilization 0, below the
+  // knee, above it, and >= 1 (clamped); bursty 0, 0.3 and > 1 (clamped).
+  // Bursty load counts toward utilization, so bursty <= utilization.
+  const std::vector<std::vector<std::pair<double, double>>> layouts = {
+      {{0.0, 0.0}, {0.5, 0.0}, {0.5, 0.3}, {0.85, 0.3}, {1.0, 0.0},
+       {1.6, 1.2}},
+      {{0.85, 0.0}, {1.3, 0.3}, {0.3, 0.3}, {1.0, 1.0}, {0.0, 0.0},
+       {2.0, 1.5}},
+  };
+  for (const auto& layout : layouts) {
+    LinkUtilization load(&graph);
+    for (std::size_t h = 0; h < layout.size(); ++h) {
+      const Path hop = {path[h], path[h + 1]};
+      const auto [util, bursty] = layout[h];
+      load.add_path_load(hop, (util - bursty) * capacity, /*bursty=*/false);
+      load.add_path_load(hop, bursty * capacity, /*bursty=*/true);
+    }
+    const PathLatencyEstimator est(&load, LinkLatencyModel{});
+    std::vector<PreparedHop> hops;
+    est.prepare(path, &hops);
+    ASSERT_EQ(hops.size(), layout.size());
+    // The layout reaches the clamps and the burst-mixture branch.
+    EXPECT_EQ(hops.back().bursty, 1.0);
+    EXPECT_GT(hops[3].p_burst, 0.0);
+
+    Rng path_rng(91);
+    Rng prepared_rng(91);
+    for (int draw = 0; draw < 2000; ++draw) {
+      const SimTime a = est.sample_latency(path, path_rng);
+      const SimTime b = est.sample_prepared(hops, prepared_rng);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(a),
+                std::bit_cast<std::uint64_t>(b))
+          << "draw " << draw;
+      // Equal RNG state: four outputs of xoshiro256 fix its whole state.
+      Rng path_next = path_rng;
+      Rng prepared_next = prepared_rng;
+      for (int k = 0; k < 4; ++k) {
+        ASSERT_EQ(path_next.next(), prepared_next.next()) << "draw " << draw;
+      }
+    }
   }
 }
 

@@ -10,6 +10,7 @@
 //     arrivals, and thread-count byte-equality of the serving JSONL log;
 //   * golden ServingWindowRecord serialization.
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -18,6 +19,7 @@
 
 #include "core/scenario.h"
 #include "obs/jsonl.h"
+#include "obs/telemetry.h"
 #include "serve/arrivals.h"
 #include "serve/policies.h"
 #include "serve/serving_harness.h"
@@ -361,6 +363,11 @@ TEST(ServingHarness, OpenLoopRunCompletesThroughReplanning) {
   const double expected = twin.integrated_rate(0.0, config.arrivals.horizon);
   EXPECT_LE(std::abs(static_cast<double>(report.arrivals) - expected),
             6.0 * std::sqrt(expected));
+  // Pinned output of this three-epoch run. The DES samples hop latencies
+  // from prepared routes that each re-plan must rebuild; routes left over
+  // from an earlier epoch would move these.
+  EXPECT_EQ(report.subqueries_completed, 172063);
+  EXPECT_EQ(report.sla_misses, 6617);
 }
 
 // The serving bench hung on --peak-qps=nan: the harness must fail fast.
@@ -469,6 +476,37 @@ TEST(ServingHarness, EpochLogByteIdenticalAcrossThreads) {
   ASSERT_FALSE(logs[0].empty());
   EXPECT_EQ(logs[0], logs[1])
       << "serving JSONL must be byte-identical for any --threads";
+}
+
+// The DES work counters land in the metrics snapshot, which must be the
+// same for any --threads: the DES is serial, and each run adds them once.
+TEST(ServingHarness, DesWorkCountersIdenticalAcrossThreads) {
+  const char* const names[] = {"sim.events_executed", "sim.events_superseded",
+                               "sim.event_heap_high_water",
+                               "sim.dvfs_selections"};
+  std::uint64_t deltas[2][4] = {};
+  const int threads[2] = {1, 4};
+  for (int i = 0; i < 2; ++i) {
+    const Scenario scn = serve_scenario(threads[i]);
+    ServingHarnessConfig config = harness_config(scn);
+    config.epoch.runtime.threads = threads[i];
+    std::uint64_t before[4];
+    for (int c = 0; c < 4; ++c) {
+      before[c] = obs::metrics().counter(names[c]).value();
+    }
+    ServingHarness harness(&scn.topology(), &scn.service_model(),
+                           &scn.power_model(), config);
+    (void)harness.run();
+    for (int c = 0; c < 4; ++c) {
+      deltas[i][c] = obs::metrics().counter(names[c]).value() - before[c];
+    }
+  }
+  EXPECT_GT(deltas[0][0], 0u);  // superseded may be 0 at shallow queues
+  EXPECT_GT(deltas[0][2], 0u);
+  EXPECT_GT(deltas[0][3], 0u);
+  for (int c = 0; c < 4; ++c) {
+    EXPECT_EQ(deltas[0][c], deltas[1][c]) << names[c];
+  }
 }
 
 TEST(ServingHarness, TransitionPenaltyChargedOnPathChange) {

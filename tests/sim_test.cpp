@@ -2,11 +2,52 @@
 // and end-to-end cluster integration properties.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+
 #include "dvfs/synthetic_workload.h"
+#include "obs/telemetry.h"
 #include "sim/event_queue.h"
 #include "sim/search_cluster.h"
 #include "sim/server.h"
 #include "topo/aggregation.h"
+
+// Counting replacement of the global allocator: counts only while the
+// calling thread has set the flag, so gtest's own allocations stay out.
+// Every non-aligned form is replaced, so each allocation and its release
+// meet in malloc/free (sanitizer builds check that pairing).
+namespace {
+thread_local bool g_count_allocations = false;
+thread_local std::uint64_t g_allocations = 0;
+
+void* counted_malloc(std::size_t size) noexcept {
+  if (g_count_allocations) ++g_allocations;
+  return std::malloc(size == 0 ? 1 : size);
+}
+void* counted_new(std::size_t size) {
+  void* p = counted_malloc(size);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_new(size); }
+void* operator new[](std::size_t size) { return counted_new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_malloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_malloc(size);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace eprons {
 namespace {
@@ -242,6 +283,62 @@ TEST(SimServer, ArrivalMidServiceReschedulesConsistently) {
   EXPECT_EQ(server.total_queued(), 0u);
 }
 
+// A hold model: every fired event schedules its successor, so the pending
+// set stays at its initial size. The closure is `this` plus one 64-bit id,
+// the shape every per-sub-query closure of the DES has.
+struct HoldModel {
+  EventQueue* events;
+  std::vector<SimTime> delays;
+  std::uint64_t fired = 0;
+  void fire(std::uint64_t id) {
+    ++fired;
+    events->schedule_in(delays[id % delays.size()],
+                        [this, next = id + 1] { fire(next); });
+  }
+};
+
+TEST(EventQueue, SteadyStateRunsWithoutAllocating) {
+  EventQueue events;
+  HoldModel hold{&events, {}, 0};
+  Rng rng(5);
+  for (int i = 0; i < 4096; ++i) {
+    hold.delays.push_back(rng.uniform(1.0, ms(10.0)));
+  }
+  for (std::uint64_t i = 0; i < 256; ++i) {
+    events.schedule_in(hold.delays[i], [h = &hold, i] { h->fire(i); });
+  }
+
+  // A closed submit/complete cycle on a SimServer: every completion
+  // resubmits its request, keeping 24 requests on the 12 cores.
+  const ServiceModel model = sim_model();
+  const ServerPowerModel power;
+  SimServer* server_ptr = nullptr;
+  SimServer server(
+      &events, &model, &power,
+      [](const ServiceModel* m) { return std::make_unique<MaxFreqPolicy>(m); },
+      [&events, &server_ptr](const ServerCompletion& c) {
+        ServerRequest again = c.request;
+        again.meta.arrival = events.now();
+        server_ptr->submit(again);
+      });
+  server_ptr = &server;
+  for (int i = 0; i < 24; ++i) server.submit(request_with(2.7e6, ms(100.0)));
+
+  for (int i = 0; i < 10000; ++i) ASSERT_TRUE(events.step());  // warm-up
+  const std::uint64_t fired_before = hold.fired;
+  const std::uint64_t selections_before = server.dvfs_selections();
+  g_allocations = 0;
+  g_count_allocations = true;
+  for (int i = 0; i < 10000; ++i) events.step();
+  g_count_allocations = false;
+
+  EXPECT_EQ(g_allocations, 0u);
+  EXPECT_EQ(events.pending(), 256u + 24u);
+  // Both halves of the model ran inside the counted window.
+  EXPECT_GT(hold.fired, fired_before);
+  EXPECT_GT(server.dvfs_selections(), selections_before);
+}
+
 // ---- Cluster integration ----
 
 ScenarioConfig fast_scenario(const std::string& policy, double util) {
@@ -321,6 +418,42 @@ TEST(SearchCluster, DeterministicForFixedSeed) {
   EXPECT_EQ(a.metrics.queries_completed, b.metrics.queries_completed);
   EXPECT_DOUBLE_EQ(a.metrics.subquery_latency.p95,
                    b.metrics.subquery_latency.p95);
+}
+
+// The DES work counters added to the metrics registry once per run.
+struct DesCounters {
+  std::uint64_t executed;
+  std::uint64_t superseded;
+  std::uint64_t high_water;
+  std::uint64_t selections;
+};
+
+DesCounters des_counters() {
+  auto& m = obs::metrics();
+  return {m.counter("sim.events_executed").value(),
+          m.counter("sim.events_superseded").value(),
+          m.counter("sim.event_heap_high_water").value(),
+          m.counter("sim.dvfs_selections").value()};
+}
+
+TEST(SearchCluster, DesWorkCountersPinnedForFixedSeed) {
+  const FatTree topo(4);
+  const ServiceModel model = sim_model();
+  const ServerPowerModel power;
+  Rng rng(9);
+  const FlowSet background =
+      make_background_flows(FlowGenConfig{}, 8, 0.1, 0.1, rng);
+  const AggregationPolicies policies(&topo);
+  const auto subnet = policies.policy(0).switch_on;
+  const DesCounters before = des_counters();
+  (void)run_search_scenario(topo, model, power, background,
+                            fast_scenario("eprons", 0.3), &subnet);
+  const DesCounters after = des_counters();
+  // Exact: the event sequence is a function of the seed alone.
+  EXPECT_EQ(after.executed - before.executed, 69929u);
+  EXPECT_EQ(after.superseded - before.superseded, 295u);
+  EXPECT_EQ(after.high_water - before.high_water, 291u);
+  EXPECT_EQ(after.selections - before.selections, 23059u);
 }
 
 TEST(SearchCluster, PinnedSubnetReportsItsFullPower) {
